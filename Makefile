@@ -17,7 +17,7 @@ STATICCHECK_VERSION ?= 2025.1
 # Pinned govulncheck release for the advisory CI job.
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race race-phase4 bench bench-json bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
+.PHONY: all build test test-timing perfbench-check race race-phase4 bench bench-json bench-compare e2e-netstore e2e-chaos fmt vet staticcheck lint vulncheck docs ci
 
 all: build
 
@@ -29,6 +29,22 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Timing-sensitive tests: oracles that race a concurrent publisher or
+# a concurrent iteration (replica staleness windows, queries during
+# Iterate, delta scheduling, the phase-5 drain-cut retry). Twenty
+# uncached runs each, so a flake of this class fails every CI run
+# instead of now and then.
+test-timing:
+	$(GO) test -count=20 -run 'TestReplicaStalenessMatrix|TestReplicaTombstoneStaleness' ./internal/netstore
+	$(GO) test -count=20 -run 'TestQueriesDuringIterate|TestDeltaStalenessScheduling|TestPartialDrainFailureKeepsUpdates' ./internal/core
+
+# The benchmark harness is its own module (perfbench/, `replace knnpc
+# => ../`), so the root `go build ./...` never compiles it. Vet and
+# test it here, so an API change that breaks the harness fails CI
+# instead of the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Focused, uncached -race pass over the phase-4 concurrency surface:
 # the sharded-tape executor and ownership layer at workers=4, the
@@ -107,4 +123,4 @@ docs:
 	./scripts/doccheck.sh
 	./scripts/check_flags.sh
 
-ci: build fmt vet staticcheck lint race race-phase4 e2e-netstore e2e-chaos docs bench
+ci: build fmt vet staticcheck lint race race-phase4 test-timing perfbench-check e2e-netstore e2e-chaos docs bench

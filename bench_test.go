@@ -124,12 +124,14 @@ func BenchmarkFigure1Phases(b *testing.B) {
 		sum.Score += st.Phases.Score
 		sum.Update += st.Phases.Update
 	}
-	n := float64(b.N)
-	b.ReportMetric(float64(sum.Partition.Milliseconds())/n, "p1-partition-ms")
-	b.ReportMetric(float64(sum.Tuples.Milliseconds())/n, "p2-tuples-ms")
-	b.ReportMetric(float64(sum.PIGraph.Milliseconds())/n, "p3-pigraph-ms")
-	b.ReportMetric(float64(sum.Score.Milliseconds())/n, "p4-score-ms")
-	b.ReportMetric(float64(sum.Update.Milliseconds())/n, "p5-update-ms")
+	// Fractional milliseconds: Duration.Milliseconds truncates, which
+	// reads the sub-millisecond phases 3 and 5 as 0.
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(ms(sum.Partition), "p1-partition-ms")
+	b.ReportMetric(ms(sum.Tuples), "p2-tuples-ms")
+	b.ReportMetric(ms(sum.PIGraph), "p3-pigraph-ms")
+	b.ReportMetric(ms(sum.Score), "p4-score-ms")
+	b.ReportMetric(ms(sum.Update), "p5-update-ms")
 }
 
 // --- FW-1: execution time vs graph size ---

@@ -134,7 +134,7 @@ func TestRunAgainstServe(t *testing.T) {
 	}
 
 	// Updates from both runs are queued on the primaries.
-	drained, err := primary.DrainUpdates()
+	drained, err := primary.Drain(netstore.DrainUpdates)
 	if err != nil {
 		t.Fatal(err)
 	}

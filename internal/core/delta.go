@@ -21,13 +21,14 @@ import (
 // schedules a real iteration only when the worst partition's normalized
 // drift crosses Options.StalenessThreshold.
 //
-// Mutations are never silently lost: the store-side journals clear the
-// moment they are drained, so every drained-but-uncommitted mutation is
-// parked on the engine's backlog and retried by the next pass — whether
-// it failed to apply or merely arrived ahead of its sequential id. All
-// engine bookkeeping (staleness tracker, delta partition slots) is
-// staged during a pass and lands only inside the commit window, so a
-// failed pass leaves no trace.
+// Adds and deletes share one mutation log with phase 5's profile
+// updates (drainLog); each pass drains only its own kind. They are
+// never silently lost: store queues clear the moment they are drained,
+// so every drained-but-uncommitted mutation is parked on the engine's
+// backlog and retried by the next pass — whether it failed to apply or
+// merely arrived ahead of its sequential id. All engine bookkeeping (staleness tracker, delta
+// partition slots) is staged during a pass and lands only inside the
+// commit window, so a failed pass leaves no trace.
 
 // ErrPublishFailed marks an ApplyDeltas pass whose commit landed — the
 // graph, profiles, tombstones and epoch all advanced — but whose
@@ -81,52 +82,74 @@ type DeltaStats struct {
 // ids — the first add's id is the current user count. Safe for
 // concurrent use.
 func (e *Engine) EnqueueAddUser(u uint32, vec profile.Vector) {
-	e.deltas.Enqueue(delta.Mutation{Op: delta.Add, User: u, Profile: vec})
+	e.log.Enqueue(delta.Mutation{Op: delta.Add, User: u, Profile: vec})
 }
 
 // EnqueueDelUser defers tombstoning user u to the next ApplyDeltas
 // pass. Safe for concurrent use.
 func (e *Engine) EnqueueDelUser(u uint32) {
-	e.deltas.Enqueue(delta.Mutation{Op: delta.Delete, User: u})
+	e.log.Enqueue(delta.Mutation{Op: delta.Delete, User: u})
 }
 
-// drainMutations collects this pass's work: the backlog parked by the
-// previous pass (oldest first, so per-user order holds across passes),
-// then mutations pushed to the store fleet by serving front ends
-// (ADDUSER/DELUSER, drained in shard order — per-user order is
-// preserved because a user's mutations all journal on the shard user
-// mod N), then this process's own queue. Remote payloads that fail to
-// decode are dropped and counted in stats.Malformed — the journaled
-// bytes are immutable, so retrying cannot help. On a transport error
-// the mutations drained so far (whose journals are already cleared)
-// are parked on the backlog before returning, and the local queue is
-// left queued.
-func (e *Engine) drainMutations(stats *DeltaStats) ([]delta.Mutation, error) {
-	muts := e.deltaBacklog
-	e.deltaBacklog = nil
+// drainLog takes one kind of the mutation log — the update records
+// when updates is set (phase 5), the adds and deletes otherwise (the
+// delta pass): first the backlog's records of that kind (oldest, so
+// per-user order holds across passes), then the records serving front
+// ends pushed to the store fleet (drained in shard order; per-user
+// order holds because a user's records all queue on shard user mod N),
+// then this process's own queue. Records of the other kind stay where
+// they are, durable on their shard, for the pass that consumes them.
+// Remote adds whose profile fails to decode are dropped and counted in
+// malformed — the queued bytes are immutable, so retrying cannot help.
+// On a transport error nothing is returned: the records drained so far
+// (whose store queues are already cleared) join the backlog and the
+// local queue stays queued.
+func (e *Engine) drainLog(updates bool) (muts []delta.Mutation, malformed int, err error) {
+	var kept []delta.Mutation
+	for _, m := range e.backlog {
+		if (m.Op == delta.Update) == updates {
+			muts = append(muts, m)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	e.backlog = kept
 	if e.netClient != nil {
-		remote, err := e.netClient.DrainMutations()
+		kind := netstore.DrainUsers
+		if updates {
+			kind = netstore.DrainUpdates
+		}
+		var remote []netstore.Mutation
+		remote, err = e.netClient.Drain(kind)
 		for _, m := range remote {
 			switch m.Op {
+			case netstore.MutSet:
+				muts = append(muts, delta.Mutation{Op: delta.Update, User: m.User, Update: profile.Update{
+					User: m.User, Kind: profile.SetItem, Item: m.Item, Weight: m.Weight,
+				}})
+			case netstore.MutRemove:
+				muts = append(muts, delta.Mutation{Op: delta.Update, User: m.User, Update: profile.Update{
+					User: m.User, Kind: profile.RemoveItem, Item: m.Item,
+				}})
 			case netstore.MutAdd:
 				vec, rest, derr := profile.DecodeVector(m.Profile)
 				if derr != nil || len(rest) != 0 {
-					stats.Malformed++
+					malformed++
 					continue
 				}
 				muts = append(muts, delta.Mutation{Op: delta.Add, User: m.User, Profile: vec})
 			case netstore.MutDel:
 				muts = append(muts, delta.Mutation{Op: delta.Delete, User: m.User})
 			default:
-				stats.Malformed++
+				malformed++
 			}
 		}
-		if err != nil {
-			e.deltaBacklog = muts
-			return nil, fmt.Errorf("core: drain remote mutations: %w", err)
-		}
 	}
-	return append(muts, e.deltas.Drain()...), nil
+	if err != nil {
+		e.backlog = append(e.backlog, muts...)
+		return nil, 0, fmt.Errorf("core: drain the mutation log: %w", err)
+	}
+	return append(muts, e.log.Drain(updates)...), malformed, nil
 }
 
 // partitionOfUser maps a user to its partition in the last committed
@@ -142,7 +165,7 @@ func (e *Engine) partitionOfUser(u uint32) int {
 	return -1
 }
 
-// ApplyDeltas drains every queued mutation and folds it into the
+// ApplyDeltas drains every queued add and delete and folds them into the
 // committed state: one commit window moves the grown graph, the
 // extended profile store, the tombstone set, the staleness bookkeeping
 // and the epoch together. With nothing queued it is a strict no-op —
@@ -158,19 +181,19 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 	if e.closed {
 		return nil, fmt.Errorf("core: engine is closed")
 	}
-	stats := &DeltaStats{}
-	muts, err := e.drainMutations(stats)
+	muts, malformed, err := e.drainLog(false)
 	if err != nil {
 		return nil, err
 	}
+	stats := &DeltaStats{Malformed: malformed}
 	if len(muts) == 0 {
 		return stats, nil
 	}
-	// fail parks every drained mutation for the next pass. Staging is
-	// side-effect free, so re-applying the whole batch from scratch is
-	// correct.
+	// fail parks every drained mutation on the backlog for the next
+	// pass. Staging is side-effect free, so re-applying the whole batch
+	// from scratch is correct.
 	fail := func(err error) (*DeltaStats, error) {
-		e.deltaBacklog = muts
+		e.backlog = append(muts, e.backlog...)
 		return nil, err
 	}
 
@@ -375,7 +398,7 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 	}
 	if stats.Adds == 0 && stats.Upserts == 0 && stats.Deletes == 0 {
 		// Nothing landed: no commit, no epoch bump, no publishes.
-		e.deltaBacklog = held
+		e.backlog = append(held, e.backlog...)
 		return stats, nil
 	}
 
@@ -408,7 +431,7 @@ func (e *Engine) ApplyDeltas() (*DeltaStats, error) {
 	}
 	e.epoch++
 	e.serveMu.Unlock()
-	e.deltaBacklog = held
+	e.backlog = append(held, e.backlog...)
 
 	// Republish only the affected partitions' serve views, then the
 	// staleness document. putDeltaView bumps each partition's store

@@ -270,8 +270,9 @@ func (o *Options) applyDefaults() {
 // scratch directory.
 //
 // An Engine is not safe for concurrent method calls, with two
-// exceptions: EnqueueUpdate may be called from any goroutine at any
-// time (the update queue is the paper's concurrent ingestion point),
+// exceptions: EnqueueUpdate, EnqueueAddUser and EnqueueDelUser may be
+// called from any goroutine at any time (the mutation log is the
+// paper's concurrent ingestion point),
 // and the query methods — QueryNeighbors, QueryProfile, Epoch — may
 // run concurrently with an in-flight Iterate and with each other.
 // Queries read the last committed state: mid-iteration they answer
@@ -280,8 +281,7 @@ func (o *Options) applyDefaults() {
 type Engine struct {
 	opts       Options
 	profiles   canonicalProfiles // canonical P(t)
-	queue      *profile.UpdateQueue
-	g          *graph.KNN // G(t)
+	g          *graph.KNN        // G(t)
 	iostats    disk.IOStats
 	budget     *disk.Budget
 	scratch    *disk.Scratch
@@ -300,25 +300,29 @@ type Engine struct {
 	serveMu sync.RWMutex
 	epoch   uint64 // committed epochs (iterations + delta commits); guarded by serveMu
 
-	// Delta-path state (see delta.go). deltas is the local mutation
-	// queue; dead the committed tombstone set (written only inside
-	// commit windows, read under serveMu's read side by queries and
-	// unsynchronized by the single-threaded iteration path); tracker
-	// the per-partition drift counters; lastAssign/lastParts the
-	// partitioning of the last full iteration, which delta inserts
-	// restrict their candidate pools to; deltaAssign/deltaMembers the
-	// partition slots of users added since; deltaBacklog the drained-
-	// but-uncommitted mutations a failed or incomplete ApplyDeltas
-	// pass parked for retry (store journals clear on drain, so this is
-	// their only home).
-	deltas       *delta.Queue
+	// The mutation log (see drainLog in delta.go). log is the local
+	// queue behind EnqueueUpdate/EnqueueAddUser/EnqueueDelUser; backlog
+	// holds drained records a pass has not consumed — records a failed
+	// pass or drain parked for retry and adds held ahead of their id —
+	// in arrival order (store queues clear on drain, so this is their
+	// only home).
+	log     *delta.Queue
+	backlog []delta.Mutation
+
+	// Delta-path state (see delta.go). dead is the committed tombstone
+	// set (written only inside commit windows, read under serveMu's
+	// read side by queries and unsynchronized by the single-threaded
+	// iteration path); tracker the per-partition drift counters;
+	// lastAssign/lastParts the partitioning of the last full iteration,
+	// which delta inserts restrict their candidate pools to;
+	// deltaAssign/deltaMembers the partition slots of users added
+	// since.
 	dead         map[uint32]struct{}
 	tracker      *delta.Tracker
 	lastAssign   *partition.Assignment
 	lastParts    []*partition.Data
 	deltaAssign  map[uint32]int
 	deltaMembers map[int][]uint32
-	deltaBacklog []delta.Mutation
 }
 
 // New creates an engine over the given profiles. G(0) is a random
@@ -398,10 +402,9 @@ func New(store *profile.Store, opts Options) (*Engine, error) {
 	e := &Engine{
 		opts:         opts,
 		profiles:     memCanonical{store: store},
-		queue:        profile.NewUpdateQueue(),
 		g:            g,
 		budget:       disk.NewBudget(opts.MemoryBudget),
-		deltas:       delta.NewQueue(),
+		log:          delta.NewQueue(),
 		tracker:      delta.NewTracker(opts.K),
 		deltaAssign:  make(map[uint32]int),
 		deltaMembers: make(map[int][]uint32),
@@ -497,7 +500,9 @@ func (e *Engine) Profile(u uint32) (profile.Vector, error) { return e.profiles.P
 
 // EnqueueUpdate defers a profile change to the end of the current
 // iteration (phase 5). Safe for concurrent use.
-func (e *Engine) EnqueueUpdate(u profile.Update) { e.queue.Enqueue(u) }
+func (e *Engine) EnqueueUpdate(u profile.Update) {
+	e.log.Enqueue(delta.Mutation{Op: delta.Update, User: u.User, Update: u})
+}
 
 // IOStats returns a snapshot of the engine's cumulative I/O counters.
 func (e *Engine) IOStats() disk.Snapshot { return e.iostats.Snapshot() }
@@ -781,24 +786,19 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	stats.EdgeChanges = e.g.DiffEdges(next)
 	stats.Phases.Score = time.Since(start)
 
-	// Remote update ingestion: drain the batches knnserve (or any
-	// store client) pushed since the last iteration, ahead of this
-	// process's own queue. Both streams preserve per-user order; cross-
-	// stream order between a remote and a local update is unspecified,
-	// like any two concurrent EnqueueUpdate calls. The remote drain
-	// runs first: it is the one exchange that can fail, and failing
-	// before the local Drain means an aborted iteration loses nothing —
-	// locally enqueued updates are still queued when the caller retries.
+	// Phase 5 takes the update records of the mutation log: the
+	// backlog, then what knnserve (or any store client) pushed since,
+	// then this process's own queue. A failed drain loses nothing —
+	// records already drained wait on the backlog for the retry.
 	start = time.Now()
-	var updates []profile.Update
-	if e.netClient != nil {
-		remote, err := e.netClient.DrainUpdates()
-		if err != nil {
-			return nil, fmt.Errorf("core: phase 5 (drain remote updates): %w", err)
-		}
-		updates = remote
+	recs, _, err := e.drainLog(true)
+	if err != nil {
+		return nil, fmt.Errorf("core: phase 5: %w", err)
 	}
-	updates = append(updates, e.queue.Drain()...)
+	updates := make([]profile.Update, len(recs))
+	for i, r := range recs {
+		updates[i] = r.Update
+	}
 
 	// Commit window: swap in G(t+1) and apply phase 5, P(t) → P(t+1),
 	// under the write side of the query boundary. Queries block only
@@ -810,6 +810,9 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	applied, err := e.profiles.Apply(updates)
 	if err != nil {
 		e.serveMu.Unlock()
+		// Each update sets or removes one entry outright, so replaying
+		// the whole batch over a partly applied one is correct.
+		e.backlog = append(recs, e.backlog...)
 		return nil, fmt.Errorf("core: phase 5 (profile updates): %w", err)
 	}
 	e.epoch++

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"knnpc/internal/netstore"
@@ -194,7 +197,7 @@ func TestServeViewsPublished(t *testing.T) {
 	}
 }
 
-// TestRemoteUpdatesDrained: updates pushed through the store's PUSHUPD
+// TestRemoteUpdatesDrained: updates pushed through the store's MUTATE
 // path (knnserve's POST ingestion) are applied by the next phase 5,
 // exactly like locally enqueued ones.
 func TestRemoteUpdatesDrained(t *testing.T) {
@@ -217,10 +220,10 @@ func TestRemoteUpdatesDrained(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if err := client.PushUpdates([]profile.Update{
-		{User: 3, Kind: profile.SetItem, Item: 4242, Weight: 7.5},
-		{User: 9, Kind: profile.SetItem, Item: 4242, Weight: 1},
-		{User: 9, Kind: profile.RemoveItem, Item: 4242},
+	if err := client.Push([]netstore.Mutation{
+		{Op: netstore.MutSet, User: 3, Item: 4242, Weight: 7.5},
+		{Op: netstore.MutSet, User: 9, Item: 4242, Weight: 1},
+		{Op: netstore.MutRemove, User: 9, Item: 4242},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -253,6 +256,183 @@ func TestRemoteUpdatesDrained(t *testing.T) {
 	if weightOf(vec, 4242) != 7.5 {
 		t.Fatalf("published view has weight %v, want 7.5", weightOf(vec, 4242))
 	}
+}
+
+// TestPartialDrainFailureKeepsUpdates: a phase-5 drain that dies on
+// shard 1 after shard 0 answered — and cleared its queue — must not
+// lose shard 0's updates. The failed iteration parks them on the
+// engine's backlog, and the retried phase 5 applies every pushed and
+// locally enqueued update exactly once.
+func TestPartialDrainFailureKeepsUpdates(t *testing.T) {
+	const users, parts = 150, 4
+	var cut atomic.Bool
+	cluster, err := netstore.StartClusterOpts([]string{"127.0.0.1:0", "127.0.0.1:0"}, parts, nil,
+		netstore.ClusterOptions{WrapListener: func(shard int, ln net.Listener) net.Listener {
+			if shard != 1 {
+				return ln
+			}
+			return &drainCutListener{Listener: ln, armed: &cut}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	eng, err := New(testStore(t, users, 42), Options{
+		K: 4, NumPartitions: parts, NetStoreAddrs: cluster.Addrs(), Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	ctx := context.Background()
+	if _, err := eng.Iterate(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	front, err := netstore.Dial(cluster.Addrs(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	// User 2 queues on shard 0, user 3 on shard 1.
+	if err := front.Push([]netstore.Mutation{
+		{Op: netstore.MutSet, User: 2, Item: 4242, Weight: 7.5},
+		{Op: netstore.MutSet, User: 3, Item: 4242, Weight: 2.5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	eng.EnqueueUpdate(profile.Update{User: 5, Kind: profile.SetItem, Item: 4242, Weight: 1})
+
+	cut.Store(true)
+	if _, err := eng.Iterate(ctx); err == nil {
+		t.Fatal("iteration survived a drain cut on shard 1")
+	}
+	cut.Store(false)
+	stats, err := eng.Iterate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.UpdatesApplied != 3 {
+		t.Fatalf("retried phase 5 applied %d updates, want 3", stats.UpdatesApplied)
+	}
+	for u, want := range map[uint32]float32{2: 7.5, 3: 2.5, 5: 1} {
+		if vec, _, _ := eng.QueryProfile(u); weightOf(vec, 4242) != want {
+			t.Fatalf("user %d weight %v after the retry, want %v", u, weightOf(vec, 4242), want)
+		}
+	}
+	if stats, err := eng.Iterate(ctx); err != nil || stats.UpdatesApplied != 0 {
+		t.Fatalf("next iteration re-applied %v updates (%v), want 0", stats.UpdatesApplied, err)
+	}
+}
+
+// TestOtherKindSurvivesEngineRestart: each pass drains only the kind
+// it consumes, so records of the other kind stay durable on their
+// shard across an engine that exits. An update pushed before a delta
+// pass is applied by the next engine's phase 5; an add pushed before
+// an iteration is absorbed by the next engine's delta pass.
+func TestOtherKindSurvivesEngineRestart(t *testing.T) {
+	const users, parts = 120, 4
+	cluster, err := netstore.StartCluster(2, parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	front, err := netstore.Dial(cluster.Addrs(), parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	ctx := context.Background()
+	open := func() *Engine {
+		t.Helper()
+		eng, err := New(testStore(t, users, 42), Options{
+			K: 4, NumPartitions: parts, NetStoreAddrs: cluster.Addrs(), Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	// An update, then a delta pass that takes only adds and deletes.
+	eng := open()
+	if _, err := eng.Iterate(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutSet, User: 3, Item: 4242, Weight: 2.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := eng.ApplyDeltas(); err != nil || stats.Adds+stats.Upserts+stats.Deletes != 0 {
+		t.Fatalf("delta pass over an update = %+v, %v", stats, err)
+	}
+	eng.Close()
+	eng = open()
+	stats, err := eng.Iterate(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vec, _, _ := eng.QueryProfile(3); stats.UpdatesApplied != 1 || weightOf(vec, 4242) != 2.5 {
+		t.Fatalf("next engine applied %d updates, user 3 weight %v; want 1, 2.5",
+			stats.UpdatesApplied, weightOf(vec, 4242))
+	}
+
+	// An add, then an iteration that takes only updates.
+	vec, err := profile.NewVector([]profile.Entry{{Item: 1, Weight: 1}, {Item: 2, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: users, Profile: vec.AppendBinary(nil)}}); err != nil {
+		t.Fatal(err)
+	}
+	if stats, err := eng.Iterate(ctx); err != nil || stats.UpdatesApplied != 0 {
+		t.Fatalf("iteration over an add = %+v, %v", stats, err)
+	}
+	eng.Close()
+	eng = open()
+	defer eng.Close()
+	dstats, err := eng.ApplyDeltas()
+	if err != nil || dstats.Adds != 1 {
+		t.Fatalf("next engine's delta pass = %+v, %v; want the add", dstats, err)
+	}
+	if got, _, err := eng.QueryProfile(users); err != nil || !got.Equal(vec) {
+		t.Fatalf("added user's profile = %v, %v", got, err)
+	}
+}
+
+// drainCutListener wraps a shard's listener so that, while armed, the
+// shard drops a connection the moment it reads a DRAIN request: the
+// request never applies, and the client sees the shard die mid-drain.
+type drainCutListener struct {
+	net.Listener
+	armed *atomic.Bool
+}
+
+func (l *drainCutListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &drainCutConn{Conn: c, armed: l.armed}, nil
+}
+
+// opDrain is the DRAIN opcode of docs/PROTOCOL.md.
+const opDrain = 0x13
+
+type drainCutConn struct {
+	net.Conn
+	armed *atomic.Bool
+}
+
+// Read cuts the connection on a DRAIN request. The server reads each
+// request payload with one buffer sized to the frame, so a two-byte
+// read starting with the opcode is a DRAIN and its kind byte.
+func (c *drainCutConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	if len(b) == 2 && n == 2 && b[0] == opDrain && c.armed.Load() {
+		c.Conn.Close()
+		return 0, io.ErrUnexpectedEOF
+	}
+	return n, err
 }
 
 // weightOf reads one item weight, 0 when absent.
@@ -294,7 +474,7 @@ func TestQueryBeforeFirstIterate(t *testing.T) {
 }
 
 // TestDeltaViewsRepublished drives the full online-mutation loop over
-// the store fleet: a front end pushes ADDUSER/DELUSER, ApplyDeltas
+// the store fleet: a front end pushes user adds and deletes, ApplyDeltas
 // drains them, commits, and republishes only the affected partitions'
 // views — so primaries and replicas serve the added user and miss the
 // deleted one, and the staleness document is retrievable.
@@ -323,10 +503,10 @@ func TestDeltaViewsRepublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := front.AddUser(users, vec.AppendBinary(nil)); err != nil {
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: users, Profile: vec.AppendBinary(nil)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := front.DelUser(5); err != nil {
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutDel, User: 5}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -403,7 +583,7 @@ func TestDeltaViewsRepublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := front.AddUser(target, vec2.AppendBinary(nil)); err != nil {
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: target, Profile: vec2.AppendBinary(nil)}}); err != nil {
 		t.Fatal(err)
 	}
 	ds, err = eng.ApplyDeltas()
@@ -454,7 +634,7 @@ func TestDeltaViewsRepublished(t *testing.T) {
 }
 
 // TestDeltaMalformedPayloadSkipped: a front end can journal arbitrary
-// bytes as an ADDUSER payload (the PUT path accepts the body with a
+// bytes as an add record's profile (the PUT path accepts the body with a
 // 202 before the engine ever sees it). An undecodable payload must not
 // wedge the delta path — it is dropped and counted, and every
 // well-formed mutation in the same drain still lands.
@@ -478,14 +658,14 @@ func TestDeltaMalformedPayloadSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
-	if err := front.AddUser(users, []byte{0xff, 0x01}); err != nil {
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: users, Profile: []byte{0xff, 0x01}}}); err != nil {
 		t.Fatal(err)
 	}
 	vec, err := profile.NewVector([]profile.Entry{{Item: 1, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := front.AddUser(users, vec.AppendBinary(nil)); err != nil {
+	if err := front.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: users, Profile: vec.AppendBinary(nil)}}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -19,7 +19,8 @@ import (
 	"knnpc/internal/profile"
 )
 
-// Op discriminates the two user-level mutations of the delta path.
+// Op discriminates the records of the mutation log: the two user-level
+// mutations of the delta path and the paper's lazy profile update.
 type Op uint8
 
 // The mutation operations.
@@ -30,18 +31,23 @@ const (
 	// Delete tombstones a user: its neighbor lists empty, it vanishes
 	// from every other user's list, and serve lookups miss.
 	Delete
+	// Update changes one profile at the next phase 5, not through the
+	// delta path; the delta pass leaves it queued.
+	Update
 )
 
-// Mutation is one queued user-level change: an Add carries the user's
-// full profile vector, a Delete only the id.
+// Mutation is one record of the mutation log: an Add carries the
+// user's full profile vector, a Delete only the id, an Update the
+// profile change.
 type Mutation struct {
 	Op      Op
 	User    uint32
 	Profile profile.Vector // Add only
+	Update  profile.Update // Update only; Update.User == User
 }
 
-// Queue collects user mutations between delta passes, the user-level
-// analogue of profile.UpdateQueue. Safe for concurrent Enqueue.
+// Queue collects mutation-log records between the passes that consume
+// them. Safe for concurrent Enqueue.
 type Queue struct {
 	mu      sync.Mutex
 	pending []Mutation
@@ -64,11 +70,20 @@ func (q *Queue) Len() int {
 	return len(q.pending)
 }
 
-// Drain removes and returns all pending mutations in FIFO order.
-func (q *Queue) Drain() []Mutation {
+// Drain removes and returns the pending Update records when updates
+// is set, the adds and deletes otherwise, in FIFO order. Records of the
+// other kind stay queued.
+func (q *Queue) Drain(updates bool) []Mutation {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := q.pending
-	q.pending = nil
+	var out, kept []Mutation
+	for _, m := range q.pending {
+		if (m.Op == Update) == updates {
+			out = append(out, m)
+		} else {
+			kept = append(kept, m)
+		}
+	}
+	q.pending = kept
 	return out
 }

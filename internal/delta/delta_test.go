@@ -184,15 +184,25 @@ func TestTrackerScores(t *testing.T) {
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue()
 	q.Enqueue(Mutation{Op: Add, User: 1})
+	q.Enqueue(Mutation{Op: Update, User: 3})
 	q.Enqueue(Mutation{Op: Delete, User: 2})
-	if q.Len() != 2 {
+	if q.Len() != 3 {
 		t.Fatalf("Len = %d", q.Len())
 	}
-	got := q.Drain()
+	got := q.Drain(false)
 	if len(got) != 2 || got[0].User != 1 || got[1].Op != Delete {
 		t.Fatalf("drained %+v", got)
 	}
-	if q.Len() != 0 || len(q.Drain()) != 0 {
-		t.Fatal("queue not empty after drain")
+	if len(q.Drain(false)) != 0 {
+		t.Fatal("adds and deletes left after their drain")
+	}
+	if q.Len() != 1 {
+		t.Fatalf("the user drain took the update: Len = %d", q.Len())
+	}
+	if upd := q.Drain(true); len(upd) != 1 || upd[0].User != 3 {
+		t.Fatalf("update drain = %+v", upd)
+	}
+	if q.Len() != 0 {
+		t.Fatal("queue not empty after both drains")
 	}
 }

@@ -392,12 +392,8 @@ func TestEndToEndHTTP(t *testing.T) {
 		t.Fatalf("ran %d ops, planned %d", res.Ops(), cfg.Ops)
 	}
 
-	drained, err := primary.DrainUpdates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(len(drained)) != res.Kinds[Update].Ops {
-		t.Fatalf("drained %d updates, pushed %d", len(drained), res.Kinds[Update].Ops)
+	if updates, _ := drainLog(t, primary); updates != res.Kinds[Update].Ops {
+		t.Fatalf("drained %d updates, pushed %d", updates, res.Kinds[Update].Ops)
 	}
 
 	var winOps uint64
@@ -434,18 +430,14 @@ func TestEndToEndDirect(t *testing.T) {
 	if res.Errors() != 0 || res.Misses() != 0 {
 		t.Fatalf("direct run: %d errors %d misses (first %q)", res.Errors(), res.Misses(), res.Kinds[Neighbors].FirstError)
 	}
-	drained, err := primary.DrainUpdates()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if uint64(len(drained)) != res.Kinds[Update].Ops {
-		t.Fatalf("drained %d, pushed %d", len(drained), res.Kinds[Update].Ops)
+	if updates, _ := drainLog(t, primary); updates != res.Kinds[Update].Ops {
+		t.Fatalf("drained %d, pushed %d", updates, res.Kinds[Update].Ops)
 	}
 }
 
 // TestEndToEndMutations: a plan with add/del fractions drives PUT and
 // DELETE /v1/profile/{id} through both target flavors, and every
-// mutation lands in the primaries' delta journal.
+// mutation lands in the primaries' mutation log.
 func TestEndToEndMutations(t *testing.T) {
 	url, addrs, primary := serveStack(t, 64)
 	cfg := PlanConfig{
@@ -473,12 +465,12 @@ func TestEndToEndMutations(t *testing.T) {
 		t.Fatalf("%d errors; add %q del %q", res.Errors(),
 			res.Kinds[AddUser].FirstError, res.Kinds[DelUser].FirstError)
 	}
-	muts, err := primary.DrainMutations()
-	if err != nil {
-		t.Fatal(err)
+	updates, muts := drainLog(t, primary)
+	if want := res.Kinds[AddUser].Ops + res.Kinds[DelUser].Ops; muts != want {
+		t.Fatalf("drained %d mutations, sent %d", muts, want)
 	}
-	if want := res.Kinds[AddUser].Ops + res.Kinds[DelUser].Ops; uint64(len(muts)) != want {
-		t.Fatalf("drained %d mutations, sent %d", len(muts), want)
+	if updates != res.Kinds[Update].Ops {
+		t.Fatalf("drained %d updates, pushed %d", updates, res.Kinds[Update].Ops)
 	}
 
 	direct, err := NewDirectTarget("direct", addrs, 4)
@@ -493,13 +485,35 @@ func TestEndToEndMutations(t *testing.T) {
 	if res.Errors() != 0 {
 		t.Fatalf("direct mutations: %d errors (add %q)", res.Errors(), res.Kinds[AddUser].FirstError)
 	}
-	muts, err = primary.DrainMutations()
+	updates, muts = drainLog(t, primary)
+	if want := res.Kinds[AddUser].Ops + res.Kinds[DelUser].Ops; muts != want {
+		t.Fatalf("direct drained %d mutations, sent %d", muts, want)
+	}
+	if updates != res.Kinds[Update].Ops {
+		t.Fatalf("direct drained %d updates, pushed %d", updates, res.Kinds[Update].Ops)
+	}
+}
+
+// drainLog drains the primaries' mutation log, counting its profile
+// updates and its user adds and deletes.
+func drainLog(t *testing.T, primary *netstore.Client) (updates, muts uint64) {
+	t.Helper()
+	drained, err := primary.Drain(netstore.DrainUpdates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := res.Kinds[AddUser].Ops + res.Kinds[DelUser].Ops; uint64(len(muts)) != want {
-		t.Fatalf("direct drained %d mutations, sent %d", len(muts), want)
+	users, err := primary.Drain(netstore.DrainUsers)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, m := range append(drained, users...) {
+		if m.IsUpdate() {
+			updates++
+		} else {
+			muts++
+		}
+	}
+	return updates, muts
 }
 
 // TestRoundRobinTarget: ops rotate evenly across the backends and

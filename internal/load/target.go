@@ -243,36 +243,17 @@ func (t *DirectTarget) Do(op Op) error {
 		}
 		return nil
 	case Update:
-		return t.c.PushUpdates([]profile.Update{
-			{User: op.User, Kind: profile.SetItem, Item: op.Item, Weight: op.Weight},
-		})
+		return t.c.Push([]netstore.Mutation{{Op: netstore.MutSet, User: op.User, Item: op.Item, Weight: op.Weight}})
 	case AddUser:
-		m, ok := t.c.(mutator)
-		if !ok {
-			return fmt.Errorf("load: target %s cannot add users", t.name)
-		}
 		vec, err := profile.NewVector([]profile.Entry{{Item: op.Item, Weight: op.Weight}})
 		if err != nil {
 			return err
 		}
-		return m.AddUser(op.User, vec.AppendBinary(nil))
+		return t.c.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: op.User, Profile: vec.AppendBinary(nil)}})
 	case DelUser:
-		m, ok := t.c.(mutator)
-		if !ok {
-			return fmt.Errorf("load: target %s cannot delete users", t.name)
-		}
-		return m.DelUser(op.User)
+		return t.c.Push([]netstore.Mutation{{Op: netstore.MutDel, User: op.User}})
 	}
 	return fmt.Errorf("load: unknown op kind %d", op.Kind)
-}
-
-// mutator is the whole-user mutation surface of the full store client.
-// ReadClient deliberately omits it (replica tiers are read-only), so
-// DirectTarget discovers it by assertion at op time — DialRead hands
-// back the full client, which satisfies this on primary tiers.
-type mutator interface {
-	AddUser(u uint32, profileBlob []byte) error
-	DelUser(u uint32) error
 }
 
 // missOr maps the store's not-served sentinel onto ErrMiss.

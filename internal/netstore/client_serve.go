@@ -4,14 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"knnpc/internal/profile"
 )
 
 // The client's serving-side verbs. They share the compute client's
 // shard connections but never touch leases: reads answer from the
 // committed serve views (stale by design, bounded by one epoch), and
-// update pushes feed the engine's phase-5 queue.
+// mutation-log pushes feed the engine's phase-5 and delta passes.
 //
 // Point lookups are keyed by user, and the user→partition assignment is
 // an engine-side artifact that changes every iteration — no client can
@@ -21,12 +19,12 @@ import (
 // in-memory user index, so the scatter costs network hops, not disk.
 
 // ReadClient is the subset of Client the serving tier needs: point
-// lookups and update pushes, no compute verbs. Both Client and
-// ReplicaClient satisfy it.
+// lookups and mutation-log pushes, no compute verbs. A Client dialed
+// at primaries or at replicas satisfies it; replicas refuse pushes.
 type ReadClient interface {
 	Neighbors(u uint32) (epoch uint64, ids []uint32, err error)
 	ProfileBytes(u uint32) (epoch uint64, blob []byte, err error)
-	PushUpdates(updates []profile.Update) error
+	Push(muts []Mutation) error
 	Close() error
 }
 
@@ -184,100 +182,58 @@ func (c *Client) ProfileBytes(u uint32) (epoch uint64, blob []byte, err error) {
 	return epoch, blob, err
 }
 
-// PushUpdates enqueues profile updates for the engine's next phase 5.
-// Updates are routed to shard u mod N — a user-keyed assignment that is
-// stable across iterations (unlike partitions), so two pushes for the
-// same user land on the same shard queue and drain in push order.
-func (c *Client) PushUpdates(updates []profile.Update) error {
-	if len(updates) == 0 {
-		return nil
-	}
+// Push appends records to the mutation log. An update record goes to
+// its user's owner shard (u mod N) only; an add or delete record goes
+// to every shard, each of which sets or clears its tombstone for the
+// user, and again only the owner queues it. Every shard gets at most
+// one MUTATE frame, its records in push order, so two pushes for one
+// user drain in push order. Shards are written in index order and a
+// failure stops the push: earlier shards keep what they applied.
+func (c *Client) Push(muts []Mutation) error {
 	n := len(c.shards)
-	byShard := make([][]profile.Update, n)
-	for _, upd := range updates {
-		s := int(upd.User) % n
-		byShard[s] = append(byShard[s], upd)
-	}
-	for s, batch := range byShard {
+	for s, sc := range c.shards {
+		var batch []Mutation
+		for _, m := range muts {
+			if !m.IsUpdate() || int(m.User)%n == s {
+				batch = append(batch, m)
+			}
+		}
 		if len(batch) == 0 {
 			continue
 		}
-		// roundTripOnce: a replayed push could enqueue the batch twice,
-		// and phase 5 applies updates in arrival order — duplicates are
-		// real state, not noise.
-		req := append([]byte{opPushUpd}, EncodeUpdates(batch)...)
-		if _, err := c.shards[s].roundTripOnce(req); err != nil {
-			return fmt.Errorf("netstore: push updates to shard %d: %w", s, err)
+		// roundTripOnce: a replayed MUTATE could queue the batch twice,
+		// and the engine applies records in arrival order — duplicates
+		// are real state, not noise.
+		if _, err := sc.roundTripOnce(append([]byte{opMutate}, EncodeMutations(batch)...)); err != nil {
+			return fmt.Errorf("netstore: mutate on shard %d: %w", s, err)
 		}
 	}
 	return nil
 }
 
-// AddUser broadcasts a user add to every shard: each shard clears its
-// tombstone for u (a re-add resurrects the id), and u's owning shard
-// (u mod N) journals the profile for the engine's next delta pass. The
-// profile blob is the opaque profile.Vector encoding.
-func (c *Client) AddUser(u uint32, profileBlob []byte) error {
-	req := appendU32([]byte{opAddUser}, u)
-	req = append(req, profileBlob...)
-	for s, sc := range c.shards {
-		// roundTripOnce: a replay would journal the mutation twice on
-		// the owning shard.
-		if _, err := sc.roundTripOnce(req); err != nil {
-			return fmt.Errorf("netstore: add user %d on shard %d: %w", u, s, err)
-		}
-	}
-	return nil
-}
-
-// DelUser broadcasts a tombstone for user u to every shard — point
-// lookups miss immediately on the primaries — and u's owning shard
-// journals the removal for the engine's next delta pass. Replicas keep
-// serving the stale view until the delta commit republishes the user's
-// partition without it (the usual bounded staleness).
-func (c *Client) DelUser(u uint32) error {
-	req := appendU32([]byte{opDelUser}, u)
-	for s, sc := range c.shards {
-		// roundTripOnce: same double-journal hazard as AddUser.
-		if _, err := sc.roundTripOnce(req); err != nil {
-			return fmt.Errorf("netstore: delete user %d on shard %d: %w", u, s, err)
-		}
-	}
-	return nil
-}
-
-// DrainMutations collects and clears every shard's pending mutation
-// queue, in shard order then arrival order — per-user order holds
-// because a user's mutations all journal on its owning shard. A drain
-// clears each shard's journal as it answers, so on error the mutations
-// collected so far are returned alongside it — the caller must keep
-// them (the engine parks them on its backlog) or they are lost.
-func (c *Client) DrainMutations() ([]Mutation, error) {
+// Drain collects and clears the records of one kind from every
+// shard's pending queue, in shard order then arrival order — per-user
+// order holds because a user's records all queue on its owner shard.
+// Records of the other kind stay on the shards. A shard clears what it
+// hands out as it answers, so on error the records collected so far
+// are returned alongside it: the caller must keep them (the engine
+// parks them on its backlog) or they are lost.
+func (c *Client) Drain(kind DrainKind) ([]Mutation, error) {
 	var all []Mutation
 	for s, sc := range c.shards {
-		// roundTripOnce: a drain clears the queue as it answers, so if
-		// the response is lost the data is in flight, not on the shard —
-		// a blind replay would return an empty queue and the caller
+		// roundTripOnce: a drain clears the records as it answers, so if
+		// the response is lost the records are in flight, not on the
+		// shard — a blind replay would return nothing and the caller
 		// would never learn anything was dropped.
-		body, err := sc.roundTripOnce([]byte{opDrainMut})
+		body, err := sc.roundTripOnce([]byte{opDrain, byte(kind)})
 		if err != nil {
-			return all, fmt.Errorf("netstore: drain mutations from shard %d: %w", s, err)
+			return all, fmt.Errorf("netstore: drain shard %d: %w", s, err)
 		}
-		for len(body) > 0 {
-			size, rest, err := cutU32(body)
-			if err != nil {
-				return all, err
-			}
-			if uint64(size) > uint64(len(rest)) {
-				return all, fmt.Errorf("netstore: drained mutation batch claims %d bytes over %d", size, len(rest))
-			}
-			batch, err := DecodeMutations(rest[:size])
-			if err != nil {
-				return all, err
-			}
-			all = append(all, batch...)
-			body = rest[size:]
+		batch, err := DecodeMutations(body)
+		if err != nil {
+			return all, fmt.Errorf("netstore: drain shard %d: %w", s, err)
 		}
+		all = append(all, batch...)
 	}
 	return all, nil
 }
@@ -333,34 +289,4 @@ func (c *Client) Staleness() (StalenessDoc, bool, error) {
 		return StalenessDoc{}, false, err
 	}
 	return doc, true, nil
-}
-
-// DrainUpdates collects and clears every shard's pending update queue,
-// in shard order then arrival order — which preserves per-user order,
-// since a user's pushes all route to the same shard.
-func (c *Client) DrainUpdates() ([]profile.Update, error) {
-	var all []profile.Update
-	for s, sc := range c.shards {
-		// roundTripOnce: same lost-response hazard as DrainMutations.
-		body, err := sc.roundTripOnce([]byte{opDrainUpd})
-		if err != nil {
-			return nil, fmt.Errorf("netstore: drain updates from shard %d: %w", s, err)
-		}
-		for len(body) > 0 {
-			size, rest, err := cutU32(body)
-			if err != nil {
-				return nil, err
-			}
-			if uint64(size) > uint64(len(rest)) {
-				return nil, fmt.Errorf("netstore: drained batch claims %d bytes over %d", size, len(rest))
-			}
-			batch, err := DecodeUpdates(rest[:size])
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, batch...)
-			body = rest[size:]
-		}
-	}
-	return all, nil
 }

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -33,19 +34,20 @@ import (
 
 // Journal record kinds (first payload byte of each journal frame).
 const (
-	recPut      = 0x01 // u32 partition, kind byte, u64 token, blob
-	recLease    = 0x02 // u32 partition, u64 token (token monotonicity only)
-	recClear    = 0x03 // no body
-	recReset    = 0x04 // no body
-	recPushUpd  = 0x05 // encoded update batch
-	recAddUser  = 0x06 // u32 user, profile blob
-	recDelUser  = 0x07 // u32 user
-	recDrainUpd = 0x08 // no body
-	recDrainMut = 0x09 // no body
+	recPut   = 0x01 // u32 partition, kind byte, u64 token, blob
+	recLease = 0x02 // u32 partition, u64 token (token monotonicity only)
+	recClear = 0x03 // no body
+	recReset = 0x04 // no body
+	// 0x05–0x09 are retired and must not be reused: a journal written
+	// before the one mutation log must fail recovery as an unknown
+	// kind, not replay as something else.
+	recMutate = 0x0a // the MUTATE batch as received (EncodeMutations)
+	recDrain  = 0x0b // the DRAIN body: one DrainKind byte
 )
 
-// snapshotMagic versions the snapshot encoding.
-var snapshotMagic = []byte("KSN1")
+// snapshotMagic versions the snapshot encoding. KSN1 held two pending
+// queues and is refused, not converted.
+var snapshotMagic = []byte("KSN2")
 
 // journalThreshold is the journal size past which the next mutation
 // cuts a snapshot even without a commit marker.
@@ -138,7 +140,14 @@ func (s *Server) recover(dir string) error {
 	if err != nil {
 		return err
 	}
-	good, replayErr := s.replayJournal(f)
+	// Snapshot cuts keep the journal near journalThreshold (PUT and
+	// MUTATE cut once it is past), so it is read whole.
+	journal, err := io.ReadAll(f)
+	if err != nil {
+		f.Close()
+		return err
+	}
+	good, replayErr := s.replayJournal(journal)
 	if replayErr != nil {
 		f.Close()
 		return fmt.Errorf("journal: %w", replayErr)
@@ -162,32 +171,27 @@ func (s *Server) recover(dir string) error {
 	return nil
 }
 
-// replayJournal applies every whole record in order and reports the
-// offset after the last one. Truncation-shaped read failures mark the
-// torn tail; a record that decodes but cannot apply is real corruption
-// and fails recovery loudly.
-func (s *Server) replayJournal(f *os.File) (good int64, err error) {
-	for {
-		payload, rerr := readFrame(f)
-		if rerr != nil {
-			if rerr == io.EOF || errors.Is(rerr, io.ErrUnexpectedEOF) {
-				return good, nil
-			}
-			// readFrame's length-bound failure means a torn length
-			// prefix read as garbage — also a tail to cut.
-			return good, nil
+// replayJournal applies every whole record of the journal in order
+// and reports the offset after the last one. The first frame that is
+// not whole marks the torn tail: a length prefix cut short, a payload
+// shorter than its prefix claims (a garbage prefix past the frame
+// bound included), or a zero length — never written, since every
+// record carries its kind byte; all-zero bytes are the shape of a hole
+// or a preallocated tail. A record that is whole but cannot apply is
+// real corruption and fails recovery loudly.
+func (s *Server) replayJournal(journal []byte) (good int64, err error) {
+	for rest := journal; len(rest) >= 4; {
+		n := binary.BigEndian.Uint32(rest)
+		if n == 0 || uint64(n) > uint64(len(rest)-4) {
+			break
 		}
-		if len(payload) == 0 {
-			// A zero-length frame is never written (every record
-			// carries at least its kind byte); all-zero bytes are the
-			// shape of a hole or preallocated tail — cut there.
-			return good, nil
+		if err := s.applyRecord(rest[4 : 4+n]); err != nil {
+			return good, err
 		}
-		if aerr := s.applyRecord(payload); aerr != nil {
-			return good, aerr
-		}
-		good += int64(4 + len(payload))
+		rest = rest[4+n:]
+		good += int64(4 + n)
 	}
+	return good, nil
 }
 
 // applyRecord applies one journal record during replay. Fencing checks
@@ -236,34 +240,19 @@ func (s *Server) applyRecord(payload []byte) error {
 		s.partials = make(map[uint32]map[uint64][]byte)
 		s.leases = make(map[uint32]map[uint64]struct{})
 		return nil
-	case recPushUpd:
-		s.updates = append(s.updates, append([]byte(nil), body...))
-		return nil
-	case recAddUser:
-		u, blob, err := cutU32(body)
+	case recMutate:
+		muts, err := DecodeMutations(body)
 		if err != nil {
 			return err
 		}
-		delete(s.tombstones, u)
-		if s.ownsUser(u) {
-			s.mutations = append(s.mutations, EncodeMutations([]Mutation{{Op: MutAdd, User: u, Profile: append([]byte(nil), blob...)}}))
-		}
+		s.applyMutateLocked(muts)
 		return nil
-	case recDelUser:
-		u, _, err := cutU32(body)
+	case recDrain:
+		drainKind, err := parseDrainKind(body)
 		if err != nil {
 			return err
 		}
-		s.tombstones[u] = struct{}{}
-		if s.ownsUser(u) {
-			s.mutations = append(s.mutations, EncodeMutations([]Mutation{{Op: MutDel, User: u}}))
-		}
-		return nil
-	case recDrainUpd:
-		s.updates = nil
-		return nil
-	case recDrainMut:
-		s.mutations = nil
+		s.takeLocked(drainKind)
 		return nil
 	default:
 		return fmt.Errorf("unknown journal record kind 0x%02x", kind)
@@ -386,17 +375,9 @@ func (s *Server) encodeStateLocked() []byte {
 		buf = appendU32(buf, u)
 	}
 
-	buf = appendU32(buf, uint32(len(s.updates)))
-	for _, b := range s.updates {
-		buf = appendU32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	}
-	buf = appendU32(buf, uint32(len(s.mutations)))
-	for _, b := range s.mutations {
-		buf = appendU32(buf, uint32(len(b)))
-		buf = append(buf, b...)
-	}
-	return buf
+	queue := EncodeMutations(s.pending)
+	buf = appendU32(buf, uint32(len(queue)))
+	return append(buf, queue...)
 }
 
 // sortedU32Keys collects keys through the visit callback and sorts
@@ -414,7 +395,8 @@ func sortedU32Keys(n int, visit func(func(uint32))) []uint32 {
 // the derived view indexes.
 func (s *Server) restoreState(data []byte) error {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != string(snapshotMagic) {
-		return fmt.Errorf("bad snapshot magic")
+		n := min(len(data), len(snapshotMagic))
+		return fmt.Errorf("snapshot version %q is not supported (want %q)", data[:n], snapshotMagic)
 	}
 	buf := data[len(snapshotMagic):]
 	var err error
@@ -482,6 +464,11 @@ func (s *Server) restoreState(data []byte) error {
 		if nt, buf, err = cutU32(buf); err != nil {
 			return err
 		}
+		// Each partial needs at least its 12-byte token and length
+		// header: bound the claimed count before sizing the map.
+		if uint64(nt) > uint64(len(buf))/12 {
+			return fmt.Errorf("snapshot partition %d claims %d partials in %d bytes", p, nt, len(buf))
+		}
 		byToken := make(map[uint64][]byte, nt)
 		for j := uint32(0); j < nt; j++ {
 			var t uint64
@@ -538,25 +525,15 @@ func (s *Server) restoreState(data []byte) error {
 		s.tombstones[u] = struct{}{}
 	}
 
-	if n, buf, err = cutU32(buf); err != nil {
+	queue, err := cutBlob()
+	if err != nil {
 		return err
 	}
-	for i := uint32(0); i < n; i++ {
-		blob, berr := cutBlob()
-		if berr != nil {
-			return berr
-		}
-		s.updates = append(s.updates, blob)
-	}
-	if n, buf, err = cutU32(buf); err != nil {
+	if s.pending, err = DecodeMutations(queue); err != nil {
 		return err
 	}
-	for i := uint32(0); i < n; i++ {
-		blob, berr := cutBlob()
-		if berr != nil {
-			return berr
-		}
-		s.mutations = append(s.mutations, blob)
+	if len(s.pending) == 0 {
+		s.pending = nil
 	}
 	if len(buf) != 0 {
 		return fmt.Errorf("snapshot has %d trailing bytes", len(buf))

@@ -35,16 +35,15 @@
 //	GETVIEW p        → the serve view's epoch stamp and blob
 //	NEIGHBORS u      → user u's committed neighbor ids (epoch-tagged)
 //	PROFILE u        → user u's committed profile blob (epoch-tagged)
-//	PUSHUPD blob     → enqueue encoded profile updates for phase 5
-//	DRAINUPD         → return and clear the pending update queue
-//	ADDUSER u blob   → record user u (re)entering the graph: clears the
-//	                   shard's tombstone for u, and on u's owning shard
-//	                   (u mod N) enqueues the profile for the engine's
-//	                   delta path
-//	DELUSER u        → tombstone user u: point lookups on this shard
-//	                   miss immediately, and u's owning shard enqueues
-//	                   the removal for the engine's delta path
-//	DRAINMUT         → return and clear the pending mutation queue
+//	MUTATE batch     → append mutation-log records: profile updates
+//	                   (set or remove an item) for phase 5, user adds
+//	                   and deletes for the delta path. An add clears the
+//	                   shard's tombstone for its user and a delete sets
+//	                   it, so point lookups miss at once; only the
+//	                   user's owning shard (u mod N) queues the record
+//	DRAIN kind       → return and clear the pending records of one
+//	                   kind — profile updates or user adds and deletes
+//	                   — leaving the other kind queued
 //	STALENESS        → the staleness document the engine last published
 //
 // Every frame is a uint32 big-endian length followed by that many
@@ -61,8 +60,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"knnpc/internal/profile"
 )
 
 // Opcodes (first payload byte of a request frame).
@@ -77,11 +74,9 @@ const (
 	opGetView   = 0x08
 	opNeighbors = 0x09
 	opProfile   = 0x0a
-	opPushUpd   = 0x0b
-	opDrainUpd  = 0x0c
-	opAddUser   = 0x0d
-	opDelUser   = 0x0e
-	opDrainMut  = 0x0f
+	// 0x0b–0x0f are retired and must not be reused: a peer still
+	// speaking the verbs MUTATE and DRAIN replaced must get "unknown
+	// opcode", not a misparse.
 	opStaleness = 0x10
 	// opReset drops the shard's phase-4 accumulation — partials and
 	// leases — while keeping bases, epochs, serve views, and the pending
@@ -91,6 +86,11 @@ const (
 	// merge does not deduplicate; a surviving duplicate would corrupt
 	// the bit-identity invariant).
 	opReset = 0x11
+	// opMutate appends a batch of mutation-log records (EncodeMutations)
+	// to the shard's pending queue; opDrain returns and clears the
+	// records of one DrainKind.
+	opMutate = 0x12
+	opDrain  = 0x13
 )
 
 // Statuses (first payload byte of a response frame).
@@ -344,148 +344,167 @@ func DecodeView(blob []byte) ([]ViewEntry, error) {
 	return entries, nil
 }
 
-// EncodeUpdates serializes a batch of queued profile updates for
-// PUSHUPD: count u32, then per update kind byte, user u32, item u32,
-// and the weight's float32 bits. Only item-granular kinds (SetItem,
-// RemoveItem) travel — ReplaceProfile carries a whole vector the fixed
-// 13-byte record cannot, and DecodeUpdates rejects it.
-func EncodeUpdates(updates []profile.Update) []byte {
-	buf := make([]byte, 0, 4+13*len(updates))
-	buf = appendU32(buf, uint32(len(updates)))
-	for _, u := range updates {
-		buf = append(buf, byte(u.Kind))
-		buf = appendU32(buf, u.User)
-		buf = appendU32(buf, u.Item)
-		buf = appendU32(buf, math.Float32bits(u.Weight))
-	}
-	return buf
-}
-
-// DecodeUpdates parses an encoded update batch.
-func DecodeUpdates(blob []byte) ([]profile.Update, error) {
-	count, buf, err := cutU32(blob)
-	if err != nil {
-		return nil, err
-	}
-	if int64(count) > int64(len(buf))/13 {
-		return nil, fmt.Errorf("netstore: update batch claims %d updates in %d bytes", count, len(buf))
-	}
-	updates := make([]profile.Update, 0, count)
-	for i := uint32(0); i < count; i++ {
-		var u profile.Update
-		kind, rest, err := cutByte(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		buf = rest
-		u.Kind = profile.UpdateKind(kind)
-		if u.Kind != profile.SetItem && u.Kind != profile.RemoveItem {
-			return nil, fmt.Errorf("netstore: update %d has non-wire kind %d", i, kind)
-		}
-		if u.User, buf, err = cutU32(buf); err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		if u.Item, buf, err = cutU32(buf); err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		bits, rest2, err := cutU32(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: update %d: %w", i, err)
-		}
-		buf = rest2
-		u.Weight = math.Float32frombits(bits)
-		updates = append(updates, u)
-	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("netstore: update batch has %d trailing bytes", len(buf))
-	}
-	return updates, nil
-}
-
-// Mutation ops (first byte of an encoded mutation record).
+// Mutation-log record ops (first byte of an encoded record). The two
+// update ops carry the values of profile.SetItem and profile.RemoveItem.
 const (
-	// MutAdd records a user (re)entering the graph, carrying the
-	// profile vector the delta inserter places.
-	MutAdd = 0x00
-	// MutDel records a user leaving the graph; the profile field is
-	// empty.
-	MutDel = 0x01
+	// MutSet sets one (item, weight) entry of an existing user's profile
+	// at the engine's next phase 5.
+	MutSet = 0x01
+	// MutRemove removes one item from a user's profile at the next
+	// phase 5.
+	MutRemove = 0x02
+	// MutAdd records a user (re)entering the graph, carrying the profile
+	// vector the engine's delta path places.
+	MutAdd = 0x03
+	// MutDel records a user leaving the graph.
+	MutDel = 0x04
 )
 
-// Mutation is one queued graph mutation — an online user add (with its
-// encoded profile vector) or a tombstone delete — awaiting the engine's
-// delta pass. Mutations are routed to shard user mod N (the same stable
-// mapping PUSHUPD uses), so per-user order survives the fleet.
+// Mutation is one record of the mutation log: a profile update the
+// engine applies lazily in phase 5 (MutSet, MutRemove) or a user add or
+// delete its delta path absorbs (MutAdd, MutDel). Records queue on
+// shard User mod N — a user-keyed mapping that is stable across
+// iterations, unlike partitions — so one user's records drain in push
+// order.
 type Mutation struct {
-	// Op is MutAdd or MutDel.
+	// Op is MutSet, MutRemove, MutAdd or MutDel.
 	Op byte
 	// User is the mutated user id.
 	User uint32
-	// Profile is the opaque profile.Vector encoding for MutAdd; empty
-	// for MutDel.
+	// Item and Weight are the profile entry of MutSet and MutRemove
+	// (MutRemove ignores the weight but carries it, so decoding and
+	// re-encoding any accepted record is the identity).
+	Item   uint32
+	Weight float32
+	// Profile is the opaque profile.Vector encoding of MutAdd; empty
+	// otherwise.
 	Profile []byte
 }
 
-// EncodeMutations serializes a mutation batch for ADDUSER/DELUSER
-// queues: count u32, then per mutation op byte, user u32, profile
-// length u32 + bytes.
+// IsUpdate reports whether m is a phase-5 profile update rather than a
+// user add or delete.
+func (m Mutation) IsUpdate() bool { return m.Op == MutSet || m.Op == MutRemove }
+
+// DrainKind is the one body byte of a DRAIN request: which records of
+// the pending queue it takes. Each engine pass drains only the kind it
+// consumes, so records of the other kind stay durable on their shard.
+type DrainKind byte
+
+// The drain kinds.
+const (
+	// DrainUpdates takes the profile updates (MutSet, MutRemove) that
+	// the engine's phase 5 applies.
+	DrainUpdates DrainKind = 0x01
+	// DrainUsers takes the user adds and deletes (MutAdd, MutDel) that
+	// the engine's delta pass absorbs.
+	DrainUsers DrainKind = 0x02
+)
+
+// kind reports the DrainKind that takes m.
+func (m Mutation) kind() DrainKind {
+	if m.IsUpdate() {
+		return DrainUpdates
+	}
+	return DrainUsers
+}
+
+// parseDrainKind validates a DRAIN body (or a drain journal record):
+// exactly one byte naming a known kind.
+func parseDrainKind(body []byte) (DrainKind, error) {
+	if len(body) != 1 || (DrainKind(body[0]) != DrainUpdates && DrainKind(body[0]) != DrainUsers) {
+		return 0, fmt.Errorf("netstore: drain kind %x is not 01 (updates) or 02 (users)", body)
+	}
+	return DrainKind(body[0]), nil
+}
+
+// size is the record's encoded length.
+func (m Mutation) size() int {
+	switch m.Op {
+	case MutAdd:
+		return 1 + 4 + 4 + len(m.Profile)
+	case MutDel:
+		return 1 + 4
+	default:
+		return 1 + 4 + 4 + 4
+	}
+}
+
+// EncodeMutations serializes a record batch — a MUTATE body, a DRAIN
+// answer, the queue of a KSN2 snapshot: count u32, then per record the
+// op byte and user u32, followed by item u32 and weight float32 bits
+// (MutSet, MutRemove), profile length u32 + bytes (MutAdd), or nothing
+// (MutDel).
 func EncodeMutations(muts []Mutation) []byte {
 	n := 4
 	for _, m := range muts {
-		n += 1 + 4 + 4 + len(m.Profile)
+		n += m.size()
 	}
 	buf := make([]byte, 0, n)
 	buf = appendU32(buf, uint32(len(muts)))
 	for _, m := range muts {
 		buf = append(buf, m.Op)
 		buf = appendU32(buf, m.User)
-		buf = appendU32(buf, uint32(len(m.Profile)))
-		buf = append(buf, m.Profile...)
+		switch m.Op {
+		case MutAdd:
+			buf = appendU32(buf, uint32(len(m.Profile)))
+			buf = append(buf, m.Profile...)
+		case MutDel:
+		default:
+			buf = appendU32(buf, m.Item)
+			buf = appendU32(buf, math.Float32bits(m.Weight))
+		}
 	}
 	return buf
 }
 
-// DecodeMutations parses an encoded mutation batch, rejecting unknown
-// ops on arrival so a malformed batch fails its sender, not the
-// draining engine.
+// DecodeMutations parses a record batch, rejecting unknown ops on
+// arrival so a malformed batch fails its sender, not the draining
+// engine. Profile sub-slices alias blob, which callers must therefore
+// treat as immutable.
 func DecodeMutations(blob []byte) ([]Mutation, error) {
 	count, buf, err := cutU32(blob)
 	if err != nil {
 		return nil, err
 	}
-	// Each mutation needs at least its 9-byte fixed header, bounding the
-	// claimed count before the allocation (same rule as collect items).
-	if int64(count) > int64(len(buf))/9 {
-		return nil, fmt.Errorf("netstore: mutation batch claims %d mutations in %d bytes", count, len(buf))
+	// Every record needs at least its 5-byte op + user header, bounding
+	// the claimed count before the allocation (same rule as collect
+	// items).
+	if int64(count) > int64(len(buf))/5 {
+		return nil, fmt.Errorf("netstore: mutation batch claims %d records in %d bytes", count, len(buf))
 	}
 	muts := make([]Mutation, 0, count)
 	for i := uint32(0); i < count; i++ {
 		var m Mutation
-		op, rest, err := cutByte(buf)
-		if err != nil {
+		if m.Op, buf, err = cutByte(buf); err != nil {
 			return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
 		}
-		buf = rest
-		if op != MutAdd && op != MutDel {
-			return nil, fmt.Errorf("netstore: mutation %d has unknown op 0x%02x", i, op)
-		}
-		m.Op = op
 		if m.User, buf, err = cutU32(buf); err != nil {
 			return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
 		}
-		pLen, rest2, err := cutU32(buf)
-		if err != nil {
-			return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
+		switch m.Op {
+		case MutSet, MutRemove:
+			if m.Item, buf, err = cutU32(buf); err != nil {
+				return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
+			}
+			var bits uint32
+			if bits, buf, err = cutU32(buf); err != nil {
+				return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
+			}
+			m.Weight = math.Float32frombits(bits)
+		case MutAdd:
+			var pLen uint32
+			if pLen, buf, err = cutU32(buf); err != nil {
+				return nil, fmt.Errorf("netstore: mutation %d: %w", i, err)
+			}
+			if uint32(len(buf)) < pLen {
+				return nil, fmt.Errorf("netstore: mutation %d truncated in profile blob", i)
+			}
+			m.Profile = buf[:pLen:pLen]
+			buf = buf[pLen:]
+		case MutDel:
+		default:
+			return nil, fmt.Errorf("netstore: mutation %d has unknown op 0x%02x", i, m.Op)
 		}
-		buf = rest2
-		if uint32(len(buf)) < pLen {
-			return nil, fmt.Errorf("netstore: mutation %d truncated in profile blob", i)
-		}
-		if op == MutDel && pLen != 0 {
-			return nil, fmt.Errorf("netstore: mutation %d is a delete carrying %d profile bytes", i, pLen)
-		}
-		m.Profile = buf[:pLen:pLen]
-		buf = buf[pLen:]
 		muts = append(muts, m)
 	}
 	if len(buf) != 0 {

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"fmt"
 	"os"
 	"regexp"
 	"strconv"
@@ -22,8 +23,9 @@ func docTable(t *testing.T, doc []byte, rowRe *regexp.Regexp) map[string]byte {
 	return rows
 }
 
-// TestProtocolDocMatchesCode pins docs/PROTOCOL.md to protocol.go:
-// every opcode, status, and PUT kind the code defines must appear in
+// TestProtocolDocMatchesCode pins docs/PROTOCOL.md to protocol.go and
+// durable.go: every opcode, status, PUT kind, journal record kind and
+// drain kind the code defines must appear in
 // the spec's tables with the same value, and the spec must not list
 // verbs the code lacks. Adding an op without documenting it — or
 // renumbering one without updating the spec — fails here.
@@ -52,36 +54,42 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 		}
 	}
 
-	check("opcodes",
-		regexp.MustCompile(`(?m)^\| ([A-Z]+) +\| .(0x[0-9a-f]{2}). \|`),
-		map[string]byte{
-			"GET":       opGet,
-			"PUT":       opPut,
-			"LEASE":     opLease,
-			"RELEASE":   opRelease,
-			"COLLECT":   opCollect,
-			"CLEAR":     opClear,
-			"EPOCH":     opEpoch,
-			"GETVIEW":   opGetView,
-			"NEIGHBORS": opNeighbors,
-			"PROFILE":   opProfile,
-			"PUSHUPD":   opPushUpd,
-			"DRAINUPD":  opDrainUpd,
-			"ADDUSER":   opAddUser,
-			"DELUSER":   opDelUser,
-			"DRAINMUT":  opDrainMut,
-			"STALENESS": opStaleness,
-			"RESET":     opReset,
-			// Statuses share the "| NAME | `0xNN` |" row shape; list
-			// them here so the single regexp's catch covers both tables.
-			"OK":    statusOK,
-			"ERR":   statusErr,
-			"PART":  statusPart,
-			"END":   statusEnd,
-			"STALE": statusStale,
-			"MISS":  statusMiss,
-			"RETRY": statusRetry,
-		})
+	opcodes := map[string]byte{
+		"GET":       opGet,
+		"PUT":       opPut,
+		"LEASE":     opLease,
+		"RELEASE":   opRelease,
+		"COLLECT":   opCollect,
+		"CLEAR":     opClear,
+		"EPOCH":     opEpoch,
+		"GETVIEW":   opGetView,
+		"NEIGHBORS": opNeighbors,
+		"PROFILE":   opProfile,
+		"STALENESS": opStaleness,
+		"RESET":     opReset,
+		"MUTATE":    opMutate,
+		"DRAIN":     opDrain,
+	}
+	// One mutation log: the two journals' five verbs became MUTATE and
+	// DRAIN, 17 verbs down to 14. A new verb must update this count.
+	if len(opcodes) != 14 {
+		t.Errorf("the wire has %d verbs, want 14", len(opcodes))
+	}
+	// Statuses share the "| NAME | `0xNN` |" row shape; list them here
+	// so the single regexp's catch covers both tables.
+	withStatuses := map[string]byte{
+		"OK":    statusOK,
+		"ERR":   statusErr,
+		"PART":  statusPart,
+		"END":   statusEnd,
+		"STALE": statusStale,
+		"MISS":  statusMiss,
+		"RETRY": statusRetry,
+	}
+	for name, op := range opcodes {
+		withStatuses[name] = op
+	}
+	check("opcodes", regexp.MustCompile(`(?m)^\| ([A-Z]+) +\| .(0x[0-9a-f]{2}). \|`), withStatuses)
 
 	check("put kinds",
 		regexp.MustCompile(`(?m)^\| (base|partial|deltaview|view|stale) +\| .(0x[0-9a-f]{2}). \|`),
@@ -92,6 +100,24 @@ func TestProtocolDocMatchesCode(t *testing.T) {
 			"deltaview": putDeltaView,
 			"stale":     putStale,
 		})
+
+	check("journal records",
+		regexp.MustCompile(`(?m)^\| (put|lease|clear|reset|mutate|drain) +\| .(0x[0-9a-f]{2}). \|`),
+		map[string]byte{
+			"put":    recPut,
+			"lease":  recLease,
+			"clear":  recClear,
+			"reset":  recReset,
+			"mutate": recMutate,
+			"drain":  recDrain,
+		})
+
+	kinds := regexp.MustCompile("kind byte: `(0x[0-9a-f]{2})` updates, `(0x[0-9a-f]{2})` adds and deletes").
+		FindStringSubmatch(string(doc))
+	if kinds == nil || kinds[1] != fmt.Sprintf("0x%02x", DrainUpdates) || kinds[2] != fmt.Sprintf("0x%02x", DrainUsers) {
+		t.Errorf("PROTOCOL.md's DRAIN row gives drain kinds %q, code says 0x%02x updates, 0x%02x adds and deletes",
+			kinds, DrainUpdates, DrainUsers)
+	}
 }
 
 // TestProtocolDocCoversFrameBound: the spec's framing section states

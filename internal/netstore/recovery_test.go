@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,8 +31,8 @@ func startDurable(t *testing.T, addr, dir string) (*Server, *Client) {
 }
 
 // TestRecoveryReplayEqualsPreCrashState: every durable surface written
-// before an abrupt stop — bases, views, partials, tombstones, queued
-// updates and mutations, the staleness doc — reads back identically
+// before an abrupt stop — bases, views, partials, tombstones, the
+// queued mutation log, the staleness doc — reads back identically
 // from a server recovered over the same data directory.
 func TestRecoveryReplayEqualsPreCrashState(t *testing.T) {
 	dir := t.TempDir()
@@ -56,14 +57,15 @@ func TestRecoveryReplayEqualsPreCrashState(t *testing.T) {
 	if err := client.PutView(1, view); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PushUpdates([]profile.Update{{User: 5, Kind: profile.SetItem, Item: 3, Weight: 2}}); err != nil {
-		t.Fatal(err)
+	pushed := []Mutation{
+		{Op: MutSet, User: 5, Item: 3, Weight: 2},
+		{Op: MutAdd, User: 6, Profile: vec.AppendBinary(nil)},
+		{Op: MutDel, User: 7},
 	}
-	if err := client.AddUser(6, vec.AppendBinary(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.DelUser(7); err != nil {
-		t.Fatal(err)
+	for _, m := range pushed {
+		if err := client.Push([]Mutation{m}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 2, Users: 8})); err != nil {
 		t.Fatal(err)
@@ -100,13 +102,9 @@ func TestRecoveryReplayEqualsPreCrashState(t *testing.T) {
 	if err != nil || !ok || doc.LastFullEpoch != 2 || doc.Users != 8 {
 		t.Fatalf("recovered staleness = %+v, %v, %v", doc, ok, err)
 	}
-	ups, err := client2.DrainUpdates()
-	if err != nil || len(ups) != 1 || ups[0].User != 5 {
-		t.Fatalf("recovered updates = %v, %v", ups, err)
-	}
-	muts, err := client2.DrainMutations()
-	if err != nil || len(muts) != 2 {
-		t.Fatalf("recovered mutations = %v, %v", muts, err)
+	muts, err := drainLog(client2)
+	if err != nil || !bytes.Equal(EncodeMutations(muts), EncodeMutations(byKind(pushed))) {
+		t.Fatalf("recovered mutation log = %+v, %v; want %+v", muts, err, pushed)
 	}
 	// The pre-crash partial replayed, so a RESET (the engine's retry
 	// barrier) still has something to drop — and the base survives it.
@@ -340,13 +338,22 @@ func TestRecoveryAfterSnapshotCutAndAppend(t *testing.T) {
 
 // TestRecoveryFromSnapshotOnly: state that lives entirely in the
 // snapshot (journal truncated by the commit-marker cut) recovers
-// without any journal records to replay.
+// without any journal records to replay — the pending mutation log
+// and tombstones included.
 func TestRecoveryFromSnapshotOnly(t *testing.T) {
 	dir := t.TempDir()
 	srv, client := startDurable(t, "127.0.0.1:0", dir)
 	addr := srv.Addr()
 
 	if err := client.PutBase(1, []byte("snapped")); err != nil {
+		t.Fatal(err)
+	}
+	queued := []Mutation{
+		{Op: MutAdd, User: 4, Profile: []byte("p4")},
+		{Op: MutRemove, User: 2, Item: 9},
+		{Op: MutDel, User: 3},
+	}
+	if err := client.Push(queued); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.PutStaleness(EncodeStaleness(StalenessDoc{LastFullEpoch: 3})); err != nil {
@@ -364,5 +371,60 @@ func TestRecoveryFromSnapshotOnly(t *testing.T) {
 	doc, ok, err := client2.Staleness()
 	if err != nil || !ok || doc.LastFullEpoch != 3 {
 		t.Fatalf("snapshot-only staleness = %+v, %v, %v", doc, ok, err)
+	}
+	if _, _, err := client2.Neighbors(3); !errors.Is(err, ErrNotServed) {
+		t.Fatalf("snapshot-only tombstone lookup = %v, want ErrNotServed", err)
+	}
+	muts, err := drainLog(client2)
+	if err != nil || !bytes.Equal(EncodeMutations(muts), EncodeMutations(byKind(queued))) {
+		t.Fatalf("snapshot-only mutation log = %+v, %v; want %+v", muts, err, queued)
+	}
+}
+
+// TestRecoveryKeepsUndrainedKind: a journaled DRAIN replays as the
+// drain of its own kind only, so records of the other kind still queued
+// before the crash are queued after it.
+func TestRecoveryKeepsUndrainedKind(t *testing.T) {
+	dir := t.TempDir()
+	srv, client := startDurable(t, "127.0.0.1:0", dir)
+	addr := srv.Addr()
+	pushed := []Mutation{
+		{Op: MutSet, User: 2, Item: 9, Weight: 1},
+		{Op: MutAdd, User: 4, Profile: []byte("p4")},
+		{Op: MutRemove, User: 2, Item: 9},
+		{Op: MutDel, User: 3},
+	}
+	if err := client.Push(pushed); err != nil {
+		t.Fatal(err)
+	}
+	if users, err := client.Drain(DrainUsers); err != nil || len(users) != 2 {
+		t.Fatalf("pre-crash user drain = %+v, %v", users, err)
+	}
+	client.Close()
+	srv.Close()
+
+	srv2, client2 := startDurable(t, addr, dir)
+	defer srv2.Close()
+	defer client2.Close()
+	muts, err := drainLog(client2)
+	if want := []Mutation{pushed[0], pushed[2]}; err != nil || !bytes.Equal(EncodeMutations(muts), EncodeMutations(want)) {
+		t.Fatalf("recovered log = %+v, %v; want the two updates", muts, err)
+	}
+}
+
+// TestRecoveryRejectsOldSnapshot: a KSN1 snapshot (two pending queues)
+// is refused with an error naming its version, never half-decoded.
+func TestRecoveryRejectsOldSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshot"), []byte("KSN1\x00\x00\x00\x00\x00\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Shard: 0, Shards: 1, NumPartitions: 4, DataDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("a KSN1 snapshot was accepted")
+	}
+	if !strings.Contains(err.Error(), `"KSN1"`) {
+		t.Fatalf("KSN1 rejection %q does not name the version", err)
 	}
 }

@@ -284,10 +284,10 @@ func (r *Replica) serveRequest(conn net.Conn, req []byte) error {
 
 	default:
 		// Every non-read verb — GET, PUT, LEASE, RELEASE, COLLECT, CLEAR,
-		// PUSHUPD, DRAINUPD, ADDUSER, DELUSER, DRAINMUT, STALENESS — is
-		// refused: a replica can never mutate the primary's state or
-		// absorb writes (or mutations) that would be lost on re-pull, and
-		// staleness is primary-side metadata the front end reads there.
+		// RESET, MUTATE, DRAIN, STALENESS — is refused: a replica can
+		// never mutate the primary's state or absorb mutation-log records
+		// that would be lost on re-pull, and staleness is primary-side
+		// metadata the front end reads there.
 		return fail(fmt.Errorf("netstore: replica of shard %d is read-only (op 0x%02x refused)", r.cfg.Shard, op))
 	}
 }

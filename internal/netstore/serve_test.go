@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"knnpc/internal/profile"
 )
 
 // viewFor builds a deterministic one-user serve view derived entirely
@@ -47,7 +46,7 @@ func TestEpochBumpAndClear(t *testing.T) {
 		t.Fatalf("after view PUT epoch = (%d,%d,%v), want (3,3,nil)", base, view, err)
 	}
 
-	if err := client.PushUpdates([]profile.Update{{User: 9, Kind: profile.SetItem, Item: 4, Weight: 1}}); err != nil {
+	if err := client.Push([]Mutation{{Op: MutSet, User: 9, Item: 4, Weight: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.Clear(); err != nil {
@@ -64,7 +63,7 @@ func TestEpochBumpAndClear(t *testing.T) {
 	if _, ids, err := client.Neighbors(7); err != nil || len(ids) != 3 {
 		t.Fatalf("lookup after CLEAR: %v %v", ids, err)
 	}
-	upds, err := client.DrainUpdates()
+	upds, err := client.Drain(DrainUpdates)
 	if err != nil || len(upds) != 1 || upds[0].User != 9 {
 		t.Fatalf("updates after CLEAR: %v %v", upds, err)
 	}
@@ -127,52 +126,143 @@ func TestPointLookupRouting(t *testing.T) {
 	}
 }
 
-// TestUpdatePushDrain: updates pushed from multiple client batches
+// TestUpdatePushDrain: records pushed from multiple client batches
 // drain in per-user order (same-shard routing by user id), across a
-// multi-shard cluster.
+// multi-shard cluster, with updates and user adds and deletes sharing
+// the one queue. A drain takes only the kind it names.
 func TestUpdatePushDrain(t *testing.T) {
 	_, client := startCluster(t, 2, 4, nil)
-	batch1 := []profile.Update{
-		{User: 3, Kind: profile.SetItem, Item: 10, Weight: 1.5},
-		{User: 4, Kind: profile.SetItem, Item: 11, Weight: 2},
+	batch1 := []Mutation{
+		{Op: MutSet, User: 3, Item: 10, Weight: 1.5},
+		{Op: MutSet, User: 4, Item: 11, Weight: 2},
+		{Op: MutAdd, User: 8, Profile: []byte("p8")},
 	}
-	batch2 := []profile.Update{
-		{User: 3, Kind: profile.RemoveItem, Item: 10},
-		{User: 4, Kind: profile.SetItem, Item: 11, Weight: 3},
+	batch2 := []Mutation{
+		{Op: MutRemove, User: 3, Item: 10},
+		{Op: MutSet, User: 4, Item: 11, Weight: 3},
+		{Op: MutDel, User: 8},
 	}
-	if err := client.PushUpdates(batch1); err != nil {
+	if err := client.Push(batch1); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.PushUpdates(batch2); err != nil {
+	if err := client.Push(batch2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.DrainUpdates()
+	got, err := client.Drain(DrainUpdates)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 4 {
-		t.Fatalf("drained %d updates, want 4", len(got))
+		t.Fatalf("update drain took %d records, want 4: %+v", len(got), got)
 	}
-	// Per-user order: user 3's SetItem precedes its RemoveItem, user 4's
-	// weight-2 precedes weight-3.
-	var u3, u4 []profile.Update
-	for _, u := range got {
-		switch u.User {
-		case 3:
-			u3 = append(u3, u)
-		case 4:
-			u4 = append(u4, u)
-		}
+	users, err := client.Drain(DrainUsers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(u3) != 2 || u3[0].Kind != profile.SetItem || u3[1].Kind != profile.RemoveItem {
+	// Adds and deletes broadcast to both shards, but only the owner
+	// queues them: each record drains exactly once.
+	if len(users) != 2 {
+		t.Fatalf("user drain took %d records, want 2: %+v", len(users), users)
+	}
+	got = append(got, users...)
+	// Per-user order: user 3's set precedes its remove, user 4's
+	// weight-2 precedes weight-3, user 8's add precedes its delete.
+	byUser := map[uint32][]Mutation{}
+	for _, m := range got {
+		byUser[m.User] = append(byUser[m.User], m)
+	}
+	if u3 := byUser[3]; len(u3) != 2 || u3[0].Op != MutSet || u3[1].Op != MutRemove {
 		t.Fatalf("user 3 order broken: %+v", u3)
 	}
-	if len(u4) != 2 || u4[0].Weight != 2 || u4[1].Weight != 3 {
+	if u4 := byUser[4]; len(u4) != 2 || u4[0].Weight != 2 || u4[1].Weight != 3 {
 		t.Fatalf("user 4 order broken: %+v", u4)
 	}
+	if u8 := byUser[8]; len(u8) != 2 || u8[0].Op != MutAdd || string(u8[0].Profile) != "p8" || u8[1].Op != MutDel {
+		t.Fatalf("user 8 order broken: %+v", u8)
+	}
 	// Drained means drained.
-	if again, err := client.DrainUpdates(); err != nil || len(again) != 0 {
+	if again, err := drainLog(client); err != nil || len(again) != 0 {
 		t.Fatalf("second drain: %v %v", again, err)
+	}
+}
+
+// drainLog drains both kinds of c's mutation log, updates first.
+func drainLog(c *Client) ([]Mutation, error) {
+	upds, err := c.Drain(DrainUpdates)
+	if err != nil {
+		return nil, err
+	}
+	users, err := c.Drain(DrainUsers)
+	return append(upds, users...), err
+}
+
+// byKind orders records the way drainLog returns them from one shard:
+// updates first, each kind in push order.
+func byKind(muts []Mutation) []Mutation {
+	var upds, users []Mutation
+	for _, m := range muts {
+		if m.IsUpdate() {
+			upds = append(upds, m)
+		} else {
+			users = append(users, m)
+		}
+	}
+	return append(upds, users...)
+}
+
+// TestDrainRejectsBadKind: a DRAIN body that names no known kind is
+// refused in-band and takes nothing off the queue.
+func TestDrainRejectsBadKind(t *testing.T) {
+	_, client := startCluster(t, 1, 2, nil)
+	if err := client.Push([]Mutation{{Op: MutSet, User: 0, Item: 1, Weight: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	sc := client.shards[0]
+	for _, body := range [][]byte{{opDrain}, {opDrain, 0x00}, {opDrain, 0x03}, {opDrain, byte(DrainUpdates), 0x00}} {
+		if _, err := sc.roundTripOnce(body); err == nil || !strings.Contains(err.Error(), "drain kind") {
+			t.Fatalf("DRAIN %x: err = %v, want a drain kind rejection", body[1:], err)
+		}
+	}
+	if got, err := client.Drain(DrainUpdates); err != nil || len(got) != 1 {
+		t.Fatalf("queue after refused drains = %+v, %v; want the one update", got, err)
+	}
+}
+
+// TestMutateRejectsMisroutedUpdate: an update record sent to a shard
+// that does not own its user is refused whole — it would otherwise sit
+// on a queue no drain expects it on — and nothing of the batch applies.
+func TestMutateRejectsMisroutedUpdate(t *testing.T) {
+	cluster, _ := startCluster(t, 2, 4, nil)
+	shard0, err := Dial(cluster.Addrs()[:1], 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard0.Close()
+	// Dialed at one address, the client believes it is the only shard
+	// and sends user 1's update (owner: shard 1) to shard 0.
+	err = shard0.Push([]Mutation{{Op: MutDel, User: 2}, {Op: MutSet, User: 1, Item: 1, Weight: 1}})
+	if err == nil || !strings.Contains(err.Error(), "owner is shard 1") {
+		t.Fatalf("misrouted update: err = %v, want an owner rejection", err)
+	}
+	if got, err := drainLog(shard0); err != nil || len(got) != 0 {
+		t.Fatalf("rejected batch left %v queued (%v)", got, err)
+	}
+}
+
+// TestRetiredOpcodesUnknown: the opcodes of the two journals' verbs
+// that MUTATE and DRAIN replaced are answered "unknown opcode" in-band,
+// never misparsed as a different verb, and the connection survives.
+func TestRetiredOpcodesUnknown(t *testing.T) {
+	_, client := startCluster(t, 1, 2, nil)
+	sc := client.shards[0]
+	for op := byte(0x0b); op <= 0x0f; op++ {
+		_, err := sc.roundTripOnce(appendU32([]byte{op}, 7))
+		if err == nil || !strings.Contains(err.Error(), "unknown opcode") {
+			t.Fatalf("retired opcode 0x%02x: err = %v, want unknown opcode", op, err)
+		}
+	}
+	if err := client.PutBase(1, []byte("b")); err != nil {
+		t.Fatalf("connection unusable after unknown opcodes: %v", err)
 	}
 }
 
@@ -232,7 +322,7 @@ func TestReplicaReadOnly(t *testing.T) {
 	if _, err := rc.Lease(2); err == nil {
 		t.Fatal("replica granted a lease")
 	}
-	if err := rc.PushUpdates([]profile.Update{{User: 1, Kind: profile.SetItem, Item: 1, Weight: 1}}); err == nil {
+	if err := rc.Push([]Mutation{{Op: MutSet, User: 1, Item: 1, Weight: 1}}); err == nil {
 		t.Fatal("replica accepted updates")
 	}
 	// The rejected PUT did not leak through to the primary.
@@ -297,8 +387,14 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 			cluster, client := startCluster(t, cfg.shards, cfg.parts, nil)
 			const user = 77
 			const home = 0 // the user's partition, on shard 0
-			var committed atomic.Uint64
+			// begun moves before the base PUT and committed after the
+			// view PUT returns, so [committed, begun] read around a
+			// lookup brackets every epoch the lookup may see. Bounding
+			// by committed alone would race: a replica can serve view N
+			// before the publisher records that PutView(N) returned.
+			var begun, committed atomic.Uint64
 			publish := func(epoch uint64) {
+				begun.Store(epoch)
 				if err := client.PutBase(home, []byte("base")); err != nil {
 					t.Error(err)
 					return
@@ -330,7 +426,7 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 					for {
 						lo := committed.Load()
 						epoch, ids, err := rc.Neighbors(user)
-						hi := committed.Load()
+						hi := begun.Load()
 						if err != nil {
 							t.Error(err)
 							return
@@ -353,10 +449,10 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 						}
 						// Bounded staleness: the lo..hi window brackets the
 						// read, so any epoch in it is "N or N+1" fresh. An
-						// epoch below lo would be over-stale; above hi,
-						// impossible.
+						// epoch below lo would be over-stale; above the last
+						// begun, impossible.
 						if epoch < lo || epoch > hi {
-							t.Errorf("read returned epoch %d outside committed window [%d,%d]", epoch, lo, hi)
+							t.Errorf("read returned epoch %d outside window [committed %d, begun %d]", epoch, lo, hi)
 							return
 						}
 						// Epochs never run backwards for one reader.
@@ -378,7 +474,7 @@ func TestReplicaStalenessMatrix(t *testing.T) {
 }
 
 // TestReplicaTombstoneStaleness extends the staleness matrix to
-// deleted users. A DELUSER tombstone misses immediately on the
+// deleted users. A delete's tombstone misses immediately on the
 // primary — the deleting client must never read its own deleted user
 // back — while a replica keeps serving the last *committed* view
 // (bounded staleness, same window as any other read) until the
@@ -400,11 +496,11 @@ func TestReplicaTombstoneStaleness(t *testing.T) {
 		t.Fatalf("warm replica lookup: ids=%v err=%v", ids, err)
 	}
 
-	if err := client.DelUser(user); err != nil {
+	if err := client.Push([]Mutation{{Op: MutDel, User: user}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := client.Neighbors(user); !errors.Is(err, ErrNotServed) {
-		t.Fatalf("primary lookup after DELUSER: err=%v, want ErrNotServed", err)
+		t.Fatalf("primary lookup after delete: err=%v, want ErrNotServed", err)
 	}
 	// The replica answers from committed views, not journals: until a
 	// delta pass republishes the partition, the epoch-1 view is still
@@ -429,7 +525,7 @@ func TestReplicaTombstoneStaleness(t *testing.T) {
 
 	// Re-add resurrects the id: the tombstone clears, and once a view
 	// carries the user again both tiers serve it.
-	if err := client.AddUser(user, []byte("profile-at-3")); err != nil {
+	if err := client.Push([]Mutation{{Op: MutAdd, User: user, Profile: []byte("profile-at-3")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := client.PutDeltaView(home, viewFor(user, 3)); err != nil {

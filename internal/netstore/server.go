@@ -86,9 +86,8 @@ type Server struct {
 	epochs     map[uint32]uint64    // bumped by every base PUT; survives CLEAR
 	views      map[uint32]serveView // committed serve views; survive CLEAR
 	userIdx    map[uint32]uint32    // view member → owning partition
-	updates    [][]byte             // pending PUSHUPD batches; survive CLEAR
-	mutations  [][]byte             // pending ADDUSER/DELUSER batches; survive CLEAR
-	tombstones map[uint32]struct{}  // DELUSER'd users; lookups miss; survives CLEAR
+	pending    []Mutation           // queued mutation-log records of owned users; survive CLEAR
+	tombstones map[uint32]struct{}  // users deleted by MUTATE; lookups miss; survives CLEAR
 	staleness  []byte               // last putStale document; survives CLEAR
 	nextToken  uint64
 	durable    *durableStore // nil without DataDir; guarded by mu for appends
@@ -111,19 +110,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Shard < 0 || cfg.Shard >= router.NumShards() {
 		return nil, fmt.Errorf("netstore: shard index %d out of range [0,%d)", cfg.Shard, router.NumShards())
 	}
-	s := &Server{
-		cfg:        cfg,
-		router:     router,
-		base:       make(map[uint32][]byte),
-		partials:   make(map[uint32]map[uint64][]byte),
-		leases:     make(map[uint32]map[uint64]struct{}),
-		epochs:     make(map[uint32]uint64),
-		views:      make(map[uint32]serveView),
-		userIdx:    make(map[uint32]uint32),
-		tombstones: make(map[uint32]struct{}),
-		conns:      make(map[net.Conn]struct{}),
-	}
-	s.lo, s.hi = router.Range(cfg.Shard)
+	s := newShardState(cfg, router)
 	if cfg.DataDir != "" {
 		// Recover BEFORE binding the listener: no request is served
 		// until the pre-crash state is fully back, and recovery ends by
@@ -147,6 +134,24 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
+}
+
+// newShardState returns an empty, not yet listening shard.
+func newShardState(cfg ServerConfig, router pigraph.ShardRouter) *Server {
+	s := &Server{
+		cfg:        cfg,
+		router:     router,
+		base:       make(map[uint32][]byte),
+		partials:   make(map[uint32]map[uint64][]byte),
+		leases:     make(map[uint32]map[uint64]struct{}),
+		epochs:     make(map[uint32]uint64),
+		views:      make(map[uint32]serveView),
+		userIdx:    make(map[uint32]uint32),
+		tombstones: make(map[uint32]struct{}),
+		conns:      make(map[net.Conn]struct{}),
+	}
+	s.lo, s.hi = router.Range(cfg.Shard)
+	return s
 }
 
 // Addr reports the listener's address (host:port).
@@ -207,9 +212,10 @@ func (s *Server) acceptLoop() {
 }
 
 // serveConn handles one client connection request-by-request. A torn
-// frame, an unknown opcode, or a write failure ends the connection; a
-// request-level failure (unknown partition, stale token) is answered
-// with a statusErr frame and the connection stays up.
+// frame, a truncated request header, or a write failure ends the
+// connection; a request-level failure (unknown opcode or partition,
+// stale token) is answered with a statusErr frame and the connection
+// stays up.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -387,35 +393,18 @@ func (s *Server) serveRequest(conn net.Conn, req []byte) error {
 		}
 		return ok(append(appendU64(nil, epoch), entry.Profile...))
 
-	case opPushUpd:
-		if err := s.pushUpdates(body); err != nil {
+	case opMutate:
+		if err := s.mutate(body); err != nil {
 			return fail(err)
 		}
 		return ok(nil)
 
-	case opDrainUpd:
-		return ok(s.drainUpdates())
-
-	case opAddUser:
-		u, blob, err := cutU32(body)
+	case opDrain:
+		batch, err := s.drain(body)
 		if err != nil {
-			return err
-		}
-		if err := s.addUser(u, blob); err != nil {
 			return fail(err)
 		}
-		return ok(nil)
-
-	case opDelUser:
-		u, _, err := cutU32(body)
-		if err != nil {
-			return err
-		}
-		s.delUser(u)
-		return ok(nil)
-
-	case opDrainMut:
-		return ok(s.drainMutations())
+		return ok(batch)
 
 	case opStaleness:
 		s.mu.Lock()
@@ -424,77 +413,117 @@ func (s *Server) serveRequest(conn net.Conn, req []byte) error {
 		return ok(blob)
 
 	default:
-		return fmt.Errorf("netstore: unknown opcode 0x%02x", op)
+		// The frame itself was whole, so the stream is still in sync:
+		// answer in-band and keep the connection. Retired opcodes land
+		// here too.
+		return fail(fmt.Errorf("netstore: unknown opcode 0x%02x", op))
 	}
 }
 
-// ownsUser reports whether this shard is user u's mutation owner —
-// shard u mod N, the same stable user-keyed mapping PUSHUPD routes by.
-// ADDUSER/DELUSER broadcast to every shard (tombstones must be globally
-// visible so point lookups miss immediately on whichever shard holds
-// the user's view), but only the owning shard journals the mutation, so
-// the engine's drain sees each mutation exactly once.
+// ownsUser reports whether this shard is user u's owner — shard u mod
+// N, the stable user-keyed mapping the mutation log routes by. Clients
+// send a user's update records to its owner only, and add and delete
+// records to every shard (tombstones must be visible wherever the
+// user's view lives), but only the owner queues a record, so the
+// engine's drain sees each record exactly once.
 func (s *Server) ownsUser(u uint32) bool {
 	return int(u)%s.router.NumShards() == s.cfg.Shard
 }
 
-// addUser clears user u's tombstone (a re-add resurrects the id) and,
-// on u's owning shard, enqueues a MutAdd record carrying the profile
-// blob for the engine's next delta pass.
-func (s *Server) addUser(u uint32, profileBlob []byte) error {
-	batch := EncodeMutations([]Mutation{{Op: MutAdd, User: u, Profile: profileBlob}})
+// mutate applies one MUTATE batch. The batch is validated whole before
+// any of it applies — a corrupt batch or an update record routed to the
+// wrong shard fails its sender and changes nothing — then journaled
+// and applied under the state mutex. Queueing is a sequential append
+// to the shard's log — no seek.
+func (s *Server) mutate(body []byte) error {
+	muts, err := DecodeMutations(body)
+	if err != nil {
+		return err
+	}
+	for _, m := range muts {
+		if m.IsUpdate() && !s.ownsUser(m.User) {
+			return fmt.Errorf("netstore: update of user %d sent to shard %d; its owner is shard %d",
+				m.User, s.cfg.Shard, int(m.User)%s.router.NumShards())
+		}
+	}
+	// Journal first: a failed append applies nothing, so the sender's
+	// error means the batch is not on the shard.
 	s.mu.Lock()
-	delete(s.tombstones, u)
-	owner := s.ownsUser(u)
-	if owner {
-		s.mutations = append(s.mutations, batch)
+	if err := s.logRecordLocked(recMutate, body); err != nil {
+		s.mu.Unlock()
+		return err
 	}
-	jerr := s.logRecordLocked(recAddUser, append(appendU32(nil, u), profileBlob...))
+	queued := s.applyMutateLocked(muts)
+	// The batch is durable from here, so the sender must hear success:
+	// an error would make it resend a batch that is already queued. A
+	// failed threshold cut keeps the journal, and the next write retries
+	// the cut.
+	_ = s.maybeSnapshotLocked(false)
 	s.mu.Unlock()
-	if owner {
-		s.cfg.Device.Append(int64(len(batch)))
+	if queued > 0 {
+		s.cfg.Device.Append(queued)
 	}
-	return jerr
+	return nil
 }
 
-// delUser tombstones user u — point lookups on this shard miss
-// immediately, before any delta commit — and, on u's owning shard,
-// enqueues a MutDel record for the engine's next delta pass.
-func (s *Server) delUser(u uint32) {
-	batch := EncodeMutations([]Mutation{{Op: MutDel, User: u}})
-	s.mu.Lock()
-	s.tombstones[u] = struct{}{}
-	owner := s.ownsUser(u)
-	if owner {
-		s.mutations = append(s.mutations, batch)
+// applyMutateLocked is MUTATE's state transition, shared by the live
+// handler and journal replay; caller holds s.mu. Adds clear and deletes
+// set the user's tombstone on every shard; the owner also queues the
+// record. It reports the queued volume in bytes.
+func (s *Server) applyMutateLocked(muts []Mutation) (queued int64) {
+	for _, m := range muts {
+		switch m.Op {
+		case MutAdd:
+			delete(s.tombstones, m.User) // a re-add resurrects the id
+		case MutDel:
+			s.tombstones[m.User] = struct{}{}
+		}
+		if s.ownsUser(m.User) {
+			s.pending = append(s.pending, m)
+			queued += int64(m.size())
+		}
 	}
-	s.logRecordLocked(recDelUser, appendU32(nil, u))
-	s.mu.Unlock()
-	if owner {
-		s.cfg.Device.Append(int64(len(batch)))
-	}
+	return queued
 }
 
-// drainMutations returns the concatenated pending mutation batches (in
-// arrival order) and clears the queue — same shape as drainUpdates:
-// each batch length-prefixed, charged as one sequential read.
-func (s *Server) drainMutations() []byte {
+// drain returns the pending records of the kind the body names (in
+// arrival order) as one encoded batch and removes them from the queue,
+// charging the drained volume as one sequential read. Records of the
+// other kind stay queued. They are removed only once the drain is
+// journaled, so a restart cannot replay records already handed out.
+func (s *Server) drain(body []byte) ([]byte, error) {
+	kind, err := parseDrainKind(body)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
-	batches := s.mutations
-	s.mutations = nil
-	s.logRecordLocked(recDrainMut, nil)
+	if err := s.logRecordLocked(recDrain, body); err != nil {
+		s.mu.Unlock()
+		return nil, err
+	}
+	taken := s.takeLocked(kind)
 	s.mu.Unlock()
-	var out []byte
-	var volume int64
-	for _, b := range batches {
-		out = appendU32(out, uint32(len(b)))
-		out = append(out, b...)
-		volume += int64(len(b))
+	out := EncodeMutations(taken)
+	if len(taken) > 0 {
+		s.cfg.Device.Read(int64(len(out) - 4))
 	}
-	if volume > 0 {
-		s.cfg.Device.Read(volume)
+	return out, nil
+}
+
+// takeLocked is DRAIN's state transition, shared by the live handler
+// and journal replay; caller holds s.mu. It removes and returns the
+// pending records of one kind, keeping the rest in arrival order.
+func (s *Server) takeLocked(kind DrainKind) []Mutation {
+	var taken, kept []Mutation
+	for _, m := range s.pending {
+		if m.kind() == kind {
+			taken = append(taken, m)
+		} else {
+			kept = append(kept, m)
+		}
 	}
-	return out
+	s.pending = kept
+	return taken
 }
 
 // checkRange validates shard ownership — the router is the only
@@ -701,7 +730,7 @@ func (s *Server) lookup(u uint32) (uint64, ViewEntry, error) {
 	if dead {
 		// A tombstoned user misses immediately on the primaries, even
 		// before the delta commit republishes the partition without it —
-		// the DELUSER caller must never read its own deleted user back.
+		// the deleting caller must never read its own deleted user back.
 		return 0, ViewEntry{}, fmt.Errorf("%w: user %d tombstoned on shard %d", ErrNotServed, u, s.cfg.Shard)
 	}
 	if !ok {
@@ -709,45 +738,6 @@ func (s *Server) lookup(u uint32) (uint64, ViewEntry, error) {
 	}
 	s.cfg.Device.Read(int64(12 + 4*len(entry.Neighbors) + len(entry.Profile)))
 	return v.epoch, entry, nil
-}
-
-// pushUpdates enqueues one encoded batch of profile updates for the
-// engine's next phase 5. The batch is validated on arrival so a corrupt
-// frame fails its sender, not the draining engine. Appending to the
-// update journal is sequential — no seek.
-func (s *Server) pushUpdates(blob []byte) error {
-	if _, err := DecodeUpdates(blob); err != nil {
-		return err
-	}
-	stored := append([]byte(nil), blob...)
-	s.mu.Lock()
-	s.updates = append(s.updates, stored)
-	jerr := s.logRecordLocked(recPushUpd, stored)
-	s.mu.Unlock()
-	s.cfg.Device.Append(int64(len(blob)))
-	return jerr
-}
-
-// drainUpdates returns the concatenated pending update batches (in
-// arrival order) and clears the queue. The response payload is a
-// sequence of encoded batches, each length-prefixed.
-func (s *Server) drainUpdates() []byte {
-	s.mu.Lock()
-	batches := s.updates
-	s.updates = nil
-	s.logRecordLocked(recDrainUpd, nil)
-	s.mu.Unlock()
-	var out []byte
-	var volume int64
-	for _, b := range batches {
-		out = appendU32(out, uint32(len(b)))
-		out = append(out, b...)
-		volume += int64(len(b))
-	}
-	if volume > 0 {
-		s.cfg.Device.Read(volume)
-	}
-	return out
 }
 
 func (s *Server) lease(p uint32) (uint64, error) {
@@ -837,8 +827,8 @@ func (s *Server) collect() ([]CollectItem, error) {
 }
 
 // clear drops the compute-side state (bases, partials, leases) but
-// keeps the serving side — epochs, views, user index, pending updates,
-// pending mutations, tombstones, and the published staleness document.
+// keeps the serving side — epochs, views, user index, the pending
+// mutation-log queue, tombstones, and the published staleness document.
 // The engine clears the store at the end of every iteration, after the
 // serve views are published; wiping them would blind the serving tier
 // between iterations, and resetting epochs would let a replica mistake

@@ -283,19 +283,19 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "no updates")
 		return
 	}
-	ups := make([]profile.Update, 0, len(body.Updates))
+	ups := make([]netstore.Mutation, 0, len(body.Updates))
 	for i, u := range body.Updates {
 		switch u.Op {
 		case api.OpSet:
-			ups = append(ups, profile.Update{User: u.User, Kind: profile.SetItem, Item: u.Item, Weight: u.Weight})
+			ups = append(ups, netstore.Mutation{Op: netstore.MutSet, User: u.User, Item: u.Item, Weight: u.Weight})
 		case api.OpRemove:
-			ups = append(ups, profile.Update{User: u.User, Kind: profile.RemoveItem, Item: u.Item})
+			ups = append(ups, netstore.Mutation{Op: netstore.MutRemove, User: u.User, Item: u.Item})
 		default:
 			fail(http.StatusBadRequest, fmt.Sprintf("update %d: op %q (want %q or %q)", i, u.Op, api.OpSet, api.OpRemove))
 			return
 		}
 	}
-	if err := s.writers.PushUpdates(ups); err != nil {
+	if err := s.writers.Push(ups); err != nil {
 		fail(http.StatusBadGateway, "push failed: "+err.Error())
 		return
 	}
@@ -348,7 +348,7 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, "bad profile: "+err.Error())
 		return
 	}
-	if err := s.writers.AddUser(u, vec.AppendBinary(nil)); err != nil {
+	if err := s.writers.Push([]netstore.Mutation{{Op: netstore.MutAdd, User: u, Profile: vec.AppendBinary(nil)}}); err != nil {
 		fail(http.StatusBadGateway, "add failed: "+err.Error())
 		return
 	}
@@ -362,7 +362,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.writers.DelUser(u); err != nil {
+	if err := s.writers.Push([]netstore.Mutation{{Op: netstore.MutDel, User: u}}); err != nil {
 		writeError(w, http.StatusBadGateway, "delete failed: "+err.Error())
 		s.del.observe(start, http.StatusBadGateway)
 		return

@@ -184,12 +184,12 @@ func TestPushEndpoint(t *testing.T) {
 		t.Fatalf("push response %s (%v)", rec.Body.String(), err)
 	}
 
-	got, err := primary.DrainUpdates()
+	got, err := primary.Drain(netstore.DrainUpdates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 || got[0].Kind != profile.SetItem || got[0].Item != 500 ||
-		got[1].Kind != profile.RemoveItem || got[1].Item != 11 {
+	if len(got) != 2 || got[0].Op != netstore.MutSet || got[0].Item != 500 || got[0].Weight != 4 ||
+		got[1].Op != netstore.MutRemove || got[1].Item != 11 {
 		t.Fatalf("drained %+v", got)
 	}
 
@@ -260,7 +260,7 @@ func TestMutationEndpoints(t *testing.T) {
 
 	// Both mutations reached the primaries' journal, in order, with the
 	// profile blob intact.
-	muts, err := primary.DrainMutations()
+	muts, err := primary.Drain(netstore.DrainUsers)
 	if err != nil {
 		t.Fatal(err)
 	}
