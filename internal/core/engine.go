@@ -699,7 +699,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 			cancel: cancelRun,
 		}
 		shared.shards = prefetcher
-		result, perWorker, err = schedule.ExecuteParallel(shared.workerCallbacks, execOpts)
+		result, perWorker, err = schedule.Execute(shared.workerCallbacks, execOpts)
 		cancelRun()
 		if err == nil {
 			break
@@ -714,7 +714,7 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		if first := shared.firstErr(); first != nil {
 			err = first
 		}
-		if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
+		if !e.retryStore(ctx, attempt, err) {
 			return nil, fmt.Errorf("core: phase 4 (KNN computation): %w", err)
 		}
 		// The partially consumed table cannot be re-run; drop it and
@@ -723,12 +723,6 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		table = nil
 		if rerr := e.netClient.Reset(); rerr != nil {
 			return nil, fmt.Errorf("core: phase 4 reset after %v: %w", err, rerr)
-		}
-		wait := e.opts.StoreRetryBackoff << attempt
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("core: phase 4 (KNN computation): %w", err)
-		case <-time.After(wait):
 		}
 	}
 	stats.Loads, stats.Unloads = result.Loads, result.Unloads
@@ -774,13 +768,8 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 		if err == nil {
 			break
 		}
-		if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
+		if !e.retryStore(ctx, attempt, err) {
 			return nil, fmt.Errorf("core: phase 4 (collect): %w", err)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("core: phase 4 (collect): %w", err)
-		case <-time.After(e.opts.StoreRetryBackoff << attempt):
 		}
 	}
 	stats.EdgeChanges = e.g.DiffEdges(next)
@@ -859,6 +848,22 @@ func (e *Engine) Iterate(ctx context.Context) (*IterationStats, error) {
 	stats.IO = e.iostats.Snapshot().Sub(ioStart)
 	e.iter++
 	return stats, nil
+}
+
+// retryStore decides whether a failed store attempt is retried: only a
+// transient failure against the network store, within StoreRetries and
+// with ctx live. A retry first waits out the attempt's exponential
+// backoff; it reports false if ctx ends during the wait.
+func (e *Engine) retryStore(ctx context.Context, attempt int, err error) bool {
+	if e.netClient == nil || attempt >= e.opts.StoreRetries || !storeTransient(err) || ctx.Err() != nil {
+		return false
+	}
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(e.opts.StoreRetryBackoff << attempt):
+		return true
+	}
 }
 
 // publishViews encodes one serve view per partition from the just-
@@ -1030,8 +1035,7 @@ func (s *phase4Shared) ctxErr() error {
 }
 
 // workerCallbacks builds the callback set of one tape worker — the
-// factory ExecuteParallel calls once per worker before any of them
-// start.
+// factory Execute calls once per worker before any of them start.
 func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 	w := &phase4Worker{
 		shared:   s,
@@ -1040,8 +1044,6 @@ func (s *phase4Shared) workerCallbacks(index int) pigraph.Callbacks {
 		resident: make(map[uint32]*partState, s.engine.opts.Slots),
 	}
 	cb := pigraph.Callbacks{
-		Load:    w.load,
-		Unload:  w.unload,
 		Pair:    w.pair,
 		Self:    w.self,
 		Fetch:   w.fetch,
@@ -1069,7 +1071,8 @@ type phase4Worker struct {
 }
 
 // fetch materializes partition id without making it resident — the
-// asynchronous half of a pipelined load. It may run concurrently with
+// first half of every load, run on the cursor at depth 0 and on a
+// background goroutine when prefetching. It may run concurrently with
 // this worker's unloads of other partitions (never of id itself; the
 // executor orders fetches after the matching write-back) and with
 // anything other workers do — the ownership layer serializes
@@ -1090,7 +1093,7 @@ func (w *phase4Worker) fetch(id uint32) (any, error) {
 }
 
 // commit makes a fetched partition resident in this worker — the
-// synchronous half, run on the worker's cursor (the ownership
+// second half of every load, run on the worker's cursor (the ownership
 // reference was already taken in fetch).
 func (w *phase4Worker) commit(id uint32, data any) error {
 	st, ok := data.(*partState)
@@ -1108,19 +1111,11 @@ func (w *phase4Worker) discard(id uint32, _ any) {
 	_ = w.shared.owner.release(w.index, id, false)
 }
 
-func (w *phase4Worker) load(id uint32) error {
-	st, err := w.fetch(id)
-	if err != nil {
-		return err
-	}
-	return w.commit(id, st)
-}
-
 // evict removes a resident partition from this worker without writing
-// it back — the synchronous half of an asynchronous unload, run on the
-// cursor at the unload's tape position. The ownership reference (and
-// its budget charge) is held until the matching flush lands: an
-// in-flight write-back still occupies real memory.
+// it back — the first half of every unload, run on the cursor at the
+// unload's tape position. The ownership reference (and its budget
+// charge) is held until the matching flush lands: an in-flight
+// write-back still occupies real memory.
 func (w *phase4Worker) evict(id uint32) (any, error) {
 	st, ok := w.resident[id]
 	if !ok {
@@ -1131,7 +1126,8 @@ func (w *phase4Worker) evict(id uint32) (any, error) {
 }
 
 // flush drops the evicted partition's ownership reference — the
-// asynchronous half, run on the executor's write-back goroutines. The
+// second half of every unload, run on the cursor at depth 0 and on the
+// executor's write-back goroutines with AsyncWriteback. The
 // last worker to let go performs the real store write, carrying every
 // worker's folds.
 func (w *phase4Worker) flush(id uint32, _ any) error {
@@ -1139,13 +1135,6 @@ func (w *phase4Worker) flush(id uint32, _ any) error {
 		return w.shared.fail(err)
 	}
 	return nil
-}
-
-func (w *phase4Worker) unload(id uint32) error {
-	if _, err := w.evict(id); err != nil {
-		return fmt.Errorf("core: unload: %w", err)
-	}
-	return w.flush(id, nil)
 }
 
 // pairAhead starts background reads of the tuple shards an upcoming

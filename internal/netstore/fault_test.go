@@ -313,11 +313,10 @@ func (p *flakyProxy) serve(client net.Conn) {
 		io.Copy(client, backend)
 	}()
 	for {
-		if p.broken.Load() {
-			return
-		}
+		// Check the trip after the read: a serve loop already blocked
+		// in readFrame when trip() fired must not forward the frame.
 		frame, err := readFrame(client)
-		if err != nil {
+		if err != nil || p.broken.Load() {
 			return
 		}
 		if len(frame) > 0 && frame[0] == opLease && p.tripAfterLeases > 0 {

@@ -3,35 +3,28 @@ package pigraph
 import "fmt"
 
 // Callbacks receive the events of a schedule execution. Nil callbacks
-// are skipped, so a pure simulation passes the zero value. The engine's
-// phase 4 passes real partition I/O here, which is what guarantees the
-// engine's measured load/unload count equals the simulated one.
+// are skipped: a nil Fetch hands Commit a nil value, a nil Evict hands
+// Flush a nil payload. The engine's phase 4 passes real partition I/O
+// here, which is what guarantees the engine's measured load/unload
+// count equals the simulated one.
 type Callbacks struct {
-	// Load is called when partition p is brought into a memory slot.
-	Load func(p uint32) error
-	// Unload is called when partition p is evicted (or flushed at the
-	// end of the run).
-	Unload func(p uint32) error
 	// Pair is called with both partitions resident to process the
 	// tuple shards of the unordered pair {primary, peer}.
 	Pair func(primary, peer uint32) error
 	// Self is called with p resident to process p's self-shard.
 	Self func(p uint32) error
 
-	// Fetch and Commit split Load into an asynchronous half and a
-	// synchronous half for pipelined execution (ExecOptions with
-	// PrefetchDepth > 0). Fetch reads partition p off the storage
-	// medium WITHOUT making it resident; the executor may run it on a
-	// background goroutine concurrently with Pair/Self/Unload of other
-	// partitions (never concurrently with a write-back of p itself —
-	// the executor orders each fetch after the completion of the
-	// write-back that precedes it on the tape, even when that write
-	// runs asynchronously). Commit makes the fetched value resident; it
-	// runs on the executor's cursor, serialized with every other
-	// cursor-side callback.
-	//
-	// When either is nil, or PrefetchDepth is 0, every load falls back
-	// to the synchronous Load callback.
+	// Fetch and Commit are the two halves of every load. Fetch reads
+	// partition p off the storage medium WITHOUT making it resident;
+	// Commit makes the fetched value resident. Commit always runs on
+	// the executor's cursor, serialized with every other cursor-side
+	// callback. With PrefetchDepth 0, Fetch runs on the cursor too,
+	// directly before its Commit. With PrefetchDepth > 0 the executor
+	// may run Fetch on a background goroutine concurrently with
+	// Pair/Self/Evict of other partitions (never concurrently with a
+	// write-back of p itself — the executor orders each fetch after the
+	// completion of the write-back that precedes it on the tape, even
+	// when that write runs asynchronously).
 	Fetch  func(p uint32) (any, error)
 	Commit func(p uint32, data any) error
 	// Discard releases a successfully fetched value that will never be
@@ -44,23 +37,20 @@ type Callbacks struct {
 	// release them here.
 	Discard func(p uint32, data any)
 
-	// Evict and Flush split Unload into a synchronous half and an
-	// asynchronous half — the write-back analogue of Fetch/Commit —
-	// for ExecOptions with WritebackDepth > 0. Evict removes partition
-	// p from residency and returns the payload to be written back; it
+	// Evict and Flush are the two halves of every unload — the
+	// write-back analogue of Fetch/Commit. Evict removes partition p
+	// from residency and returns the payload to be written back; it
 	// runs on the executor's cursor at the unload's tape position, so
 	// the Loads/Unloads accounting is untouched. Flush writes the
-	// evicted payload to the storage medium; the executor runs it on a
-	// background goroutine, bounded to WritebackDepth writes in flight,
-	// concurrently with any cursor work and with fetches of OTHER
-	// partitions. A load of p never observes a pending flush of p (the
-	// write-back hazard): the executor blocks that load — or its
-	// background fetch — until the flush lands, and surfaces the
-	// flush's error there. Every flush completes before ExecuteOpts
-	// returns.
-	//
-	// When either is nil, or WritebackDepth is 0, every unload falls
-	// back to the synchronous Unload callback.
+	// evicted payload to the storage medium. With WritebackDepth 0 it
+	// runs on the cursor directly after its Evict. With WritebackDepth
+	// > 0 the executor runs it on a background goroutine, bounded to
+	// WritebackDepth writes in flight, concurrently with any cursor
+	// work and with fetches of OTHER partitions. A load of p never
+	// observes a pending flush of p (the write-back hazard): the
+	// executor blocks that load — or its background fetch — until the
+	// flush lands, and surfaces the flush's error there. Every flush
+	// completes before Execute returns.
 	Evict func(p uint32) (any, error)
 	Flush func(p uint32, data any) error
 
@@ -193,6 +183,20 @@ const (
 	opSelf
 )
 
+// count tallies one tape entry of kind k in r.
+func (r *Result) count(k opKind) {
+	switch k {
+	case opLoad:
+		r.Loads++
+	case opUnload:
+		r.Unloads++
+	case opPair:
+		r.Pairs++
+	case opSelf:
+		r.Selfs++
+	}
+}
+
 // op is one step of the fully resolved execution plan. For opPair, a is
 // the primary and b the peer; otherwise b is unused.
 type op struct {
@@ -203,8 +207,8 @@ type op struct {
 // slotMachine models the paper's memory constraint generalized to S
 // slots: at most S partitions resident. Eviction is least-recently-used
 // with the current primary pinned. It emits the op tape instead of
-// invoking callbacks, so the same plan drives serial and pipelined
-// execution identically.
+// invoking callbacks, so the same plan drives every pipelining depth
+// identically.
 type slotMachine struct {
 	resident []int64 // partition ids; -1 = empty
 	lastUsed []int64
@@ -296,66 +300,6 @@ func (s *Schedule) plan(slots int) ([]op, error) {
 	return sm.tape, nil
 }
 
-// Execute walks the schedule under the paper's two-slot memory model
-// with serial I/O, invoking the callbacks, and returns the operation
-// counts. Memory starts empty and is drained at the end.
-func (s *Schedule) Execute(cb Callbacks) (Result, error) {
-	return s.ExecuteOpts(cb, ExecOptions{})
-}
-
-// ExecuteOpts walks the schedule under an S-slot memory model,
-// optionally pipelining any of phase 4's three I/O streams against the
-// scoring cursor (see ExecOptions): partition loads ahead of it,
-// partition write-backs behind it, and tuple-shard reads alongside it.
-// For any fixed Slots the cursor's op sequence — and therefore the
-// Loads/Unloads accounting — is identical at every pipelining setting;
-// the streams only overlap I/O with computation.
-//
-// With Workers > 1 the call delegates to ExecuteParallel, handing the
-// SAME Callbacks to every worker: the callbacks must then be safe for
-// concurrent use (the zero Callbacks of a simulation trivially are;
-// real executors should use ExecuteParallel's per-worker factory
-// instead).
-func (s *Schedule) ExecuteOpts(cb Callbacks, opts ExecOptions) (Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return Result{}, err
-	}
-	if opts.Workers > 1 {
-		total, _, err := s.ExecuteParallel(func(int) Callbacks { return cb }, opts)
-		return total, err
-	}
-	return s.executeSegment(cb, opts)
-}
-
-// executeSegment runs one already-validated single-cursor execution of
-// the schedule — the shared tail of ExecuteOpts and of each
-// ExecuteParallel worker.
-func (s *Schedule) executeSegment(cb Callbacks, opts ExecOptions) (Result, error) {
-	tape, err := s.plan(opts.Slots)
-	if err != nil {
-		return Result{}, err
-	}
-	usePrefetch := opts.PrefetchDepth > 0 && cb.Fetch != nil && cb.Commit != nil
-	useWriteback := opts.WritebackDepth > 0 && cb.Evict != nil && cb.Flush != nil
-	useShardAhead := opts.ShardAhead > 0 && cb.PairAhead != nil
-	if usePrefetch || useWriteback || useShardAhead {
-		return runPipelined(tape, cb, opts, usePrefetch, useWriteback, useShardAhead)
-	}
-	return runSerial(tape, cb)
-}
-
-// runSerial replays the tape on one goroutine.
-func runSerial(tape []op, cb Callbacks) (Result, error) {
-	var r Result
-	for _, o := range tape {
-		if err := applyOp(&r, o, cb, nil); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
-}
-
 // future is one in-flight background fetch.
 type future struct {
 	p    uint32
@@ -371,8 +315,9 @@ type writeback struct {
 	err  error
 }
 
-// runPipelined replays the tape with up to three I/O streams overlapped
-// against the cursor's compute work:
+// runTape replays one segment's tape on the calling goroutine — the
+// cursor — with up to three I/O streams overlapped against its compute
+// work, each sized by its depth in opts:
 //
 //   - up to PrefetchDepth partition fetches in flight ahead of the
 //     cursor. A fetch for the load at tape index i is only issued once
@@ -385,19 +330,23 @@ type writeback struct {
 //     position (Evict, on the cursor), so the accounting is untouched;
 //     only the flush overlaps.
 //   - tuple-shard announcements up to ShardAhead pair/self steps ahead
-//     of the cursor, so shard bytes stream in alongside partition
-//     state.
+//     of the cursor (only when PairAhead is set), so shard bytes stream
+//     in alongside partition state.
+//
+// With every depth at 0 no stream runs: each op is applied in tape
+// order on the cursor, a load as Fetch then Commit and an unload as
+// Evict then Flush — the paper's serial Table 1 execution.
 //
 // Every flush completes — and every fetch is consumed or discarded —
 // before the function returns, on success and on error alike.
-//
-// The three use* flags say which streams are actually enabled (option
-// set AND callbacks present); ExecuteOpts computes them once so entry
-// condition and stream selection cannot drift apart.
-func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWriteback, useShardAhead bool) (Result, error) {
+func runTape(tape []op, cb Callbacks, opts ExecOptions) (Result, error) {
+	shardAhead := opts.ShardAhead
+	if cb.PairAhead == nil {
+		shardAhead = 0
+	}
 	// hazard[i], for a load op at index i, is the index of the latest
 	// unload of the same partition before i (-1 if none).
-	hazard := make(map[int]int)
+	hazard := make([]int, len(tape))
 	lastUnload := make(map[uint32]int)
 	for i, o := range tape {
 		switch o.kind {
@@ -454,7 +403,7 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 		// preceding steps); announcing at the cursor's own position is
 		// still "before Pair/Self runs", so every step is announced
 		// exactly once.
-		for useShardAhead && shardsAhead < opts.ShardAhead && shardScan < len(tape) {
+		for shardsAhead < shardAhead && shardScan < len(tape) {
 			if shardScan < cursor {
 				shardScan = cursor
 				continue
@@ -477,7 +426,7 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 		// reached the cursor (ops before cursor have executed; cursor's
 		// own op has not). An executed-but-still-flushing write-back is
 		// no obstacle — the fetch goroutine waits for the flush itself.
-		for usePrefetch && outstanding < opts.PrefetchDepth && scan < len(tape) {
+		for outstanding < opts.PrefetchDepth && scan < len(tape) {
 			if tape[scan].kind != opLoad {
 				scan++
 				continue
@@ -511,13 +460,15 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 						return
 					}
 				}
-				f.data, f.err = cb.Fetch(f.p)
+				if cb.Fetch != nil {
+					f.data, f.err = cb.Fetch(f.p)
+				}
 			}()
 			scan++
 		}
 
 		switch {
-		case o.kind == opUnload && useWriteback:
+		case o.kind == opUnload && opts.WritebackDepth > 0:
 			// Bounded background writer: admit the new write only after
 			// the oldest in-flight one lands.
 			for len(writeQueue) >= opts.WritebackDepth {
@@ -529,19 +480,21 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 					return r, fmt.Errorf("pigraph: write-back %d: %w", oldest.p, oldest.err)
 				}
 			}
-			r.Unloads++
+			r.count(opUnload)
 			r.AsyncUnloads++
-			data, err := cb.Evict(o.a)
+			data, err := evict(o.a, cb)
 			if err != nil {
 				_ = drainAll()
-				return r, fmt.Errorf("pigraph: evict %d: %w", o.a, err)
+				return r, err
 			}
 			wb := &writeback{p: o.a, done: make(chan struct{})}
 			writes[cursor] = wb
 			writeQueue = append(writeQueue, cursor)
 			go func() {
 				defer close(wb.done)
-				wb.err = cb.Flush(wb.p, data)
+				if cb.Flush != nil {
+					wb.err = cb.Flush(wb.p, data)
+				}
 			}()
 
 		case o.kind == opLoad:
@@ -583,39 +536,44 @@ func runPipelined(tape []op, cb Callbacks, opts ExecOptions, usePrefetch, useWri
 	return r, nil
 }
 
-// applyOp executes one tape entry, counting it in r. For opLoad, a
-// non-nil future supplies the prefetched data (committed here, on the
-// cursor); otherwise the load runs synchronously.
+// evict runs the cursor half of an unload.
+func evict(p uint32, cb Callbacks) (any, error) {
+	if cb.Evict == nil {
+		return nil, nil
+	}
+	data, err := cb.Evict(p)
+	if err != nil {
+		return nil, fmt.Errorf("pigraph: evict %d: %w", p, err)
+	}
+	return data, nil
+}
+
+// applyOp executes one tape entry on the cursor, counting it in r. For
+// opLoad, a non-nil future supplies the prefetched data; otherwise the
+// fetch runs here, directly before its commit. An opUnload reaching
+// applyOp is synchronous: its flush runs directly after its evict.
 func applyOp(r *Result, o op, cb Callbacks, f *future) error {
+	r.count(o.kind)
 	switch o.kind {
 	case opLoad:
-		r.Loads++
+		var data any
 		if f != nil {
 			if f.err != nil {
 				return fmt.Errorf("pigraph: prefetch %d: %w", o.a, f.err)
 			}
 			r.PrefetchedLoads++
-			if err := cb.Commit(o.a, f.data); err != nil {
+			data = f.data
+		} else if cb.Fetch != nil {
+			var err error
+			if data, err = cb.Fetch(o.a); err != nil {
+				return fmt.Errorf("pigraph: fetch %d: %w", o.a, err)
+			}
+		}
+		if cb.Commit != nil {
+			if err := cb.Commit(o.a, data); err != nil {
 				// The value was fetched but never became resident: hand
 				// it back so staged resources (memory budget charges)
 				// are released before the error aborts the run.
-				if cb.Discard != nil {
-					cb.Discard(o.a, f.data)
-				}
-				return fmt.Errorf("pigraph: commit %d: %w", o.a, err)
-			}
-			return nil
-		}
-		if cb.Load != nil {
-			if err := cb.Load(o.a); err != nil {
-				return fmt.Errorf("pigraph: load %d: %w", o.a, err)
-			}
-		} else if cb.Fetch != nil && cb.Commit != nil {
-			data, err := cb.Fetch(o.a)
-			if err != nil {
-				return fmt.Errorf("pigraph: fetch %d: %w", o.a, err)
-			}
-			if err := cb.Commit(o.a, data); err != nil {
 				if cb.Discard != nil {
 					cb.Discard(o.a, data)
 				}
@@ -623,29 +581,22 @@ func applyOp(r *Result, o op, cb Callbacks, f *future) error {
 			}
 		}
 	case opUnload:
-		r.Unloads++
-		if cb.Unload != nil {
-			if err := cb.Unload(o.a); err != nil {
-				return fmt.Errorf("pigraph: unload %d: %w", o.a, err)
-			}
-		} else if cb.Evict != nil && cb.Flush != nil {
-			data, err := cb.Evict(o.a)
-			if err != nil {
-				return fmt.Errorf("pigraph: evict %d: %w", o.a, err)
-			}
+		data, err := evict(o.a, cb)
+		if err != nil {
+			return err
+		}
+		if cb.Flush != nil {
 			if err := cb.Flush(o.a, data); err != nil {
 				return fmt.Errorf("pigraph: flush %d: %w", o.a, err)
 			}
 		}
 	case opPair:
-		r.Pairs++
 		if cb.Pair != nil {
 			if err := cb.Pair(o.a, o.b); err != nil {
 				return fmt.Errorf("pigraph: pair {%d,%d}: %w", o.a, o.b, err)
 			}
 		}
 	case opSelf:
-		r.Selfs++
 		if cb.Self != nil {
 			if err := cb.Self(o.a); err != nil {
 				return fmt.Errorf("pigraph: self shard of %d: %w", o.a, err)
@@ -658,7 +609,7 @@ func applyOp(r *Result, o op, cb Callbacks, f *future) error {
 // Simulate counts load/unload operations under the two-slot model
 // without side effects — the Table 1 measurement.
 func (s *Schedule) Simulate() Result {
-	// The zero Callbacks with default options cannot fail.
+	// Default options cannot fail.
 	r, err := s.SimulateOpts(ExecOptions{})
 	if err != nil {
 		panic("pigraph: two-slot simulation cannot fail: " + err.Error())
@@ -667,13 +618,28 @@ func (s *Schedule) Simulate() Result {
 }
 
 // SimulateOpts counts the operations of an (S-slot, W-worker)
-// execution without side effects. The pipelining depths are irrelevant
-// here: the tapes, and hence the counts, depend only on Slots and
-// Workers (each worker plans its own segment from an empty slot state,
-// so totals are the exact sum of the per-worker tapes). The only
-// possible error is invalid options.
+// execution without side effects: it plans each Split segment's tape
+// and counts its op kinds. The pipelining depths are irrelevant here:
+// the tapes, and hence the counts, depend only on Slots and Workers
+// (each worker plans its own segment from an empty slot state, so
+// totals are the exact sum of the per-worker tapes). The only possible
+// error is invalid options.
 func (s *Schedule) SimulateOpts(opts ExecOptions) (Result, error) {
-	return s.ExecuteOpts(Callbacks{}, ExecOptions{Slots: opts.Slots, Workers: opts.Workers})
+	opts, err := ExecOptions{Slots: opts.Slots, Workers: opts.Workers}.withDefaults()
+	if err != nil {
+		return Result{}, err
+	}
+	var r Result
+	for _, seg := range s.Split(opts.Workers) {
+		tape, err := seg.plan(opts.Slots)
+		if err != nil {
+			return Result{}, err
+		}
+		for _, o := range tape {
+			r.count(o.kind)
+		}
+	}
+	return r, nil
 }
 
 // Validate checks that the schedule covers the PI graph exactly: every

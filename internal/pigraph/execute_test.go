@@ -1,8 +1,10 @@
 package pigraph
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,21 +20,58 @@ type event struct {
 }
 
 // traceCallbacks returns callbacks that append every invocation to a
-// shared trace, using the serial Load path only.
+// shared trace: a load is recorded when it commits, an unload when it
+// evicts.
 func traceCallbacks(trace *[]event) Callbacks {
 	return Callbacks{
-		Load:   func(p uint32) error { *trace = append(*trace, event{"load", p, 0}); return nil },
-		Unload: func(p uint32) error { *trace = append(*trace, event{"unload", p, 0}); return nil },
+		Commit: func(p uint32, _ any) error { *trace = append(*trace, event{"load", p, 0}); return nil },
+		Evict:  func(p uint32) (any, error) { *trace = append(*trace, event{"unload", p, 0}); return nil, nil },
 		Pair:   func(a, b uint32) error { *trace = append(*trace, event{"pair", a, b}); return nil },
 		Self:   func(p uint32) error { *trace = append(*trace, event{"self", p, 0}); return nil },
 	}
 }
 
+// executeOne runs s on a single cursor with cb — the one-worker form
+// of Execute most executor tests drive.
+func executeOne(s *Schedule, cb Callbacks, opts ExecOptions) (Result, error) {
+	r, _, err := s.Execute(func(int) Callbacks { return cb }, opts)
+	return r, err
+}
+
 // referenceExecute is the original hard-coded two-slot serial executor
 // (the pre-pipelining implementation), kept verbatim as the oracle for
-// tape-equivalence testing: ExecuteOpts with Slots=2, PrefetchDepth=0
-// must reproduce its callback sequence op for op.
+// tape-equivalence testing: Execute with Slots=2 and every depth 0
+// must reproduce its callback sequence op for op. A load is Fetch then
+// Commit, an unload Evict then Flush.
 func referenceExecute(s *Schedule, cb Callbacks) (Result, error) {
+	load := func(p uint32) error {
+		var data any
+		if cb.Fetch != nil {
+			d, err := cb.Fetch(p)
+			if err != nil {
+				return err
+			}
+			data = d
+		}
+		if cb.Commit != nil {
+			return cb.Commit(p, data)
+		}
+		return nil
+	}
+	unload := func(p uint32) error {
+		var data any
+		if cb.Evict != nil {
+			d, err := cb.Evict(p)
+			if err != nil {
+				return err
+			}
+			data = d
+		}
+		if cb.Flush != nil {
+			return cb.Flush(p, data)
+		}
+		return nil
+	}
 	type refMachine struct {
 		resident [2]int64
 		lastUsed [2]int64
@@ -67,19 +106,14 @@ func referenceExecute(s *Schedule, cb Callbacks) (Result, error) {
 				}
 			}
 			sm.result.Unloads++
-			if cb.Unload != nil {
-				if err := cb.Unload(uint32(sm.resident[slot])); err != nil {
-					return err
-				}
+			if err := unload(uint32(sm.resident[slot])); err != nil {
+				return err
 			}
 		}
 		sm.resident[slot] = int64(p)
 		sm.lastUsed[slot] = sm.tick
 		sm.result.Loads++
-		if cb.Load != nil {
-			return cb.Load(p)
-		}
-		return nil
+		return load(p)
 	}
 	for _, v := range s.Visits {
 		if err := ensure(v.Primary, -1); err != nil {
@@ -110,10 +144,8 @@ func referenceExecute(s *Schedule, cb Callbacks) (Result, error) {
 			continue
 		}
 		sm.result.Unloads++
-		if cb.Unload != nil {
-			if err := cb.Unload(uint32(sm.resident[i])); err != nil {
-				return sm.result, err
-			}
+		if err := unload(uint32(sm.resident[i])); err != nil {
+			return sm.result, err
 		}
 		sm.resident[i] = -1
 	}
@@ -137,7 +169,7 @@ func TestTapeMatchesReferenceSerialExecutor(t *testing.T) {
 					t.Fatal(err)
 				}
 				var got []event
-				gotRes, err := s.ExecuteOpts(traceCallbacks(&got), ExecOptions{Slots: 2})
+				gotRes, err := executeOne(s, traceCallbacks(&got), ExecOptions{Slots: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -169,7 +201,7 @@ func TestMultiSlotResidencyInvariants(t *testing.T) {
 			resident := make(map[uint32]bool)
 			maxResident := 0
 			cb := Callbacks{
-				Load: func(p uint32) error {
+				Commit: func(p uint32, _ any) error {
 					if resident[p] {
 						return fmt.Errorf("load of already-resident %d", p)
 					}
@@ -182,12 +214,12 @@ func TestMultiSlotResidencyInvariants(t *testing.T) {
 					}
 					return nil
 				},
-				Unload: func(p uint32) error {
+				Evict: func(p uint32) (any, error) {
 					if !resident[p] {
-						return fmt.Errorf("unload of non-resident %d", p)
+						return nil, fmt.Errorf("unload of non-resident %d", p)
 					}
 					delete(resident, p)
-					return nil
+					return nil, nil
 				},
 				Pair: func(a, b uint32) error {
 					if !resident[a] || !resident[b] {
@@ -202,7 +234,7 @@ func TestMultiSlotResidencyInvariants(t *testing.T) {
 					return nil
 				},
 			}
-			res, err := s.ExecuteOpts(cb, ExecOptions{Slots: slots})
+			res, err := executeOne(s, cb, ExecOptions{Slots: slots})
 			if err != nil {
 				t.Fatalf("slots=%d %s: %v", slots, h.Name(), err)
 			}
@@ -256,9 +288,9 @@ func TestSimulateOptsReturnsValidationError(t *testing.T) {
 	}
 }
 
-// fakeStore simulates the engine's partition store for pipelined
-// execution: Unload (or the asynchronous Evict/Flush pair) writes a new
-// version of the partition's payload, Fetch reads the current version.
+// fakeStore simulates the engine's partition store: Evict+Flush writes
+// a new version of the partition's payload, Fetch reads the current
+// version.
 // If the executor ever fetched ahead of a pending write-back (the
 // stale-read hazard) or ran two fetches of one partition concurrently
 // with its unload, the versions observed at commit time would disagree
@@ -281,23 +313,6 @@ func newFakeStore() *fakeStore {
 
 func (fs *fakeStore) callbacks(committed *[]event) Callbacks {
 	return Callbacks{
-		Load: func(p uint32) error {
-			fs.mu.Lock()
-			defer fs.mu.Unlock()
-			fs.resident[p] = fs.version[p]
-			*committed = append(*committed, event{"load", p, uint32(fs.version[p])})
-			return nil
-		},
-		Unload: func(p uint32) error {
-			fs.mu.Lock()
-			defer fs.mu.Unlock()
-			if _, ok := fs.resident[p]; !ok {
-				return fmt.Errorf("unload of non-resident %d", p)
-			}
-			delete(fs.resident, p)
-			fs.version[p]++ // write-back produces a new on-disk version
-			return nil
-		},
 		Evict: func(p uint32) (any, error) {
 			fs.mu.Lock()
 			defer fs.mu.Unlock()
@@ -359,9 +374,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 
 		serialStore := newFakeStore()
 		var serialEvents []event
-		serialCB := serialStore.callbacks(&serialEvents)
-		serialCB.Fetch, serialCB.Commit = nil, nil
-		serialRes, err := s.ExecuteOpts(serialCB, ExecOptions{Slots: 2})
+		serialRes, err := executeOne(s, serialStore.callbacks(&serialEvents), ExecOptions{Slots: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,9 +382,7 @@ func TestPipelinedMatchesSerial(t *testing.T) {
 		for _, depth := range []int{1, 2, 5} {
 			store := newFakeStore()
 			var events []event
-			cb := store.callbacks(&events)
-			cb.Load = nil // force the fetch/commit path for every load
-			res, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: depth})
+			res, err := executeOne(s, store.callbacks(&events), ExecOptions{Slots: 2, PrefetchDepth: depth})
 			if err != nil {
 				t.Fatalf("%s depth=%d: %v", h.Name(), depth, err)
 			}
@@ -405,9 +416,7 @@ func TestPrefetchDepthBoundsConcurrency(t *testing.T) {
 	for _, depth := range []int32{1, 3} {
 		store := newFakeStore()
 		var events []event
-		cb := store.callbacks(&events)
-		cb.Load = nil
-		if _, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: int(depth)}); err != nil {
+		if _, err := executeOne(s, store.callbacks(&events), ExecOptions{Slots: 2, PrefetchDepth: int(depth)}); err != nil {
 			t.Fatal(err)
 		}
 		if store.maxFetch > depth {
@@ -441,7 +450,7 @@ func TestPipelinedPropagatesErrors(t *testing.T) {
 			}
 		},
 	}
-	_, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 2})
+	_, err := executeOne(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -459,7 +468,7 @@ func TestPipelinedPropagatesErrors(t *testing.T) {
 // TestExecOptionsValidation is the table test of the option validator:
 // out-of-range budgets are rejected with a descriptive error (never
 // silently clamped), and the same answer comes back from Validate,
-// ExecuteOpts and SimulateOpts.
+// Execute and SimulateOpts.
 func TestExecOptionsValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -488,8 +497,8 @@ func TestExecOptionsValidation(t *testing.T) {
 			if err != nil && len(err.Error()) < 40 {
 				t.Errorf("error %q is not descriptive", err)
 			}
-			if _, execErr := s.ExecuteOpts(Callbacks{}, tc.opts); (execErr != nil) != tc.wantErr {
-				t.Errorf("ExecuteOpts error = %v, want error: %v", execErr, tc.wantErr)
+			if _, _, execErr := s.Execute(func(int) Callbacks { return Callbacks{} }, tc.opts); (execErr != nil) != tc.wantErr {
+				t.Errorf("Execute error = %v, want error: %v", execErr, tc.wantErr)
 			}
 			wantSimErr := (tc.opts.Slots != 0 && tc.opts.Slots < 2) || tc.opts.Workers < 0
 			if _, simErr := s.SimulateOpts(tc.opts); (simErr != nil) != wantSimErr {
@@ -514,9 +523,7 @@ func TestAsyncWritebackMatchesSerial(t *testing.T) {
 		for _, slots := range []int{2, 3, 4} {
 			serialStore := newFakeStore()
 			var serialEvents []event
-			serialCB := serialStore.callbacks(&serialEvents)
-			serialCB.Fetch, serialCB.Commit, serialCB.Evict, serialCB.Flush = nil, nil, nil, nil
-			serialRes, err := s.ExecuteOpts(serialCB, ExecOptions{Slots: slots})
+			serialRes, err := executeOne(s, serialStore.callbacks(&serialEvents), ExecOptions{Slots: slots})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -527,9 +534,7 @@ func TestAsyncWritebackMatchesSerial(t *testing.T) {
 					store := newFakeStore()
 					store.flushDelay = 100 * time.Microsecond
 					var events []event
-					cb := store.callbacks(&events)
-					cb.Load, cb.Unload = nil, nil // force the async halves
-					res, err := s.ExecuteOpts(cb, ExecOptions{Slots: slots, PrefetchDepth: depth, WritebackDepth: wbDepth})
+					res, err := executeOne(s, store.callbacks(&events), ExecOptions{Slots: slots, PrefetchDepth: depth, WritebackDepth: wbDepth})
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
@@ -578,9 +583,7 @@ func TestPrefetchWaitsForInFlightWriteback(t *testing.T) {
 	store := newFakeStore()
 	store.flushDelay = 2 * time.Millisecond
 	var events []event
-	cb := store.callbacks(&events)
-	cb.Load, cb.Unload = nil, nil
-	res, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 2})
+	res, err := executeOne(s, store.callbacks(&events), ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 2})
 	if err != nil {
 		t.Fatal(err) // a stale read surfaces here as a Commit error
 	}
@@ -615,7 +618,7 @@ func TestWritebackPropagatesErrors(t *testing.T) {
 		Commit:  func(p uint32, data any) error { committed.Add(1); return nil },
 		Discard: func(p uint32, data any) { discarded.Add(1) },
 	}
-	_, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 1})
+	_, err := executeOne(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 2, WritebackDepth: 1})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -634,7 +637,7 @@ func TestCommitFailureDiscardsStagedFetch(t *testing.T) {
 	s := DegreeLowHigh().Plan(g)
 	boom := errors.New("commit boom")
 
-	for _, depth := range []int{0, 3} { // 0 exercises the serial fetch/commit fallback
+	for _, depth := range []int{0, 3} { // 0 fetches and commits on the cursor
 		var fetched, committed, discarded atomic.Int64
 		cb := Callbacks{
 			Fetch: func(p uint32) (any, error) { fetched.Add(1); return int(p), nil },
@@ -658,7 +661,7 @@ func TestCommitFailureDiscardsStagedFetch(t *testing.T) {
 			cb.Evict = func(p uint32) (any, error) { return int(p), nil }
 			cb.Flush = func(p uint32, data any) error { return nil }
 		}
-		_, err := s.ExecuteOpts(cb, opts)
+		_, err := executeOne(s, cb, opts)
 		if !errors.Is(err, boom) {
 			t.Fatalf("depth=%d: err = %v, want %v", depth, err, boom)
 		}
@@ -727,7 +730,7 @@ func TestMidTapeErrorDrainsPipeline(t *testing.T) {
 			},
 			PairAhead: func(a, b uint32) {},
 		}
-		_, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, PrefetchDepth: 3, WritebackDepth: 2, ShardAhead: 2})
+		_, err := executeOne(s, cb, ExecOptions{Slots: 2, PrefetchDepth: 3, WritebackDepth: 2, ShardAhead: 2})
 		if !errors.Is(err, boom) {
 			t.Fatalf("%s: err = %v, want %v", kind, err, boom)
 		}
@@ -786,7 +789,7 @@ func TestShardAheadAnnouncements(t *testing.T) {
 			Pair: func(a, b uint32) error { return consume(a, b) },
 			Self: func(p uint32) error { return consume(p, p) },
 		}
-		res, err := s.ExecuteOpts(cb, ExecOptions{Slots: 2, ShardAhead: w})
+		res, err := executeOne(s, cb, ExecOptions{Slots: 2, ShardAhead: w})
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
@@ -801,6 +804,102 @@ func TestShardAheadAnnouncements(t *testing.T) {
 		}
 		if res.Loads == 0 || res.PrefetchedLoads != 0 || res.AsyncUnloads != 0 {
 			t.Errorf("w=%d: shard-ahead-only run miscounted: %+v", w, res)
+		}
+	}
+}
+
+// goroutineID returns the running goroutine's id, parsed from the
+// header of its stack trace ("goroutine 17 [running]: ...").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestDepthZeroCommitFollowsFetchOnCaller pins the one load/unload
+// protocol at pipeline depth 0: every Fetch is followed directly by its
+// Commit and every Evict directly by its Flush, with no other callback
+// in between; every callback runs on the caller's goroutine; the
+// committed/evicted sequence is the reference serial executor's; and
+// nothing counts as prefetched or asynchronous.
+func TestDepthZeroCommitFollowsFetchOnCaller(t *testing.T) {
+	g := randomPI(t, 19, 20, 80)
+	caller := goroutineID()
+	for _, h := range AllHeuristics() {
+		s := h.Plan(g)
+		for _, opts := range []ExecOptions{{}, {Slots: 2, Workers: 1}, {Slots: 3}} {
+			name := fmt.Sprintf("%s %+v", h.Name(), opts)
+			var trace []event
+			record := func(kind string, a, b uint32) {
+				if id := goroutineID(); id != caller {
+					t.Errorf("%s: %s %d ran on goroutine %s, caller is %s", name, kind, a, id, caller)
+				}
+				trace = append(trace, event{kind, a, b})
+			}
+			cb := Callbacks{
+				Fetch: func(p uint32) (any, error) { record("fetch", p, 0); return p, nil },
+				Commit: func(p uint32, data any) error {
+					record("commit", p, 0)
+					if data != p {
+						return fmt.Errorf("commit of %d handed %v", p, data)
+					}
+					return nil
+				},
+				Discard: func(p uint32, _ any) { t.Errorf("%s: discard of %d on a clean run", name, p) },
+				Evict:   func(p uint32) (any, error) { record("evict", p, 0); return p, nil },
+				Flush: func(p uint32, data any) error {
+					record("flush", p, 0)
+					if data != p {
+						return fmt.Errorf("flush of %d handed %v", p, data)
+					}
+					return nil
+				},
+				Pair: func(a, b uint32) error { record("pair", a, b); return nil },
+				Self: func(p uint32) error { record("self", p, 0); return nil },
+			}
+			res, err := executeOne(s, cb, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if res.PrefetchedLoads != 0 || res.AsyncUnloads != 0 {
+				t.Fatalf("%s: depth-0 run reported %+v", name, res)
+			}
+			// Walk the trace a load or unload at a time: each Fetch must
+			// be followed directly by its Commit and each Evict by its
+			// Flush, so a second half never appears on its own.
+			halves := map[string]struct{ second, as string }{
+				"fetch": {"commit", "load"},
+				"evict": {"flush", "unload"},
+			}
+			var view []event // the trace as traceCallbacks records it
+			for i := 0; i < len(trace); i++ {
+				e := trace[i]
+				switch half, ok := halves[e.kind]; {
+				case ok:
+					if i+1 == len(trace) || trace[i+1] != (event{half.second, e.a, 0}) {
+						t.Fatalf("%s: event %d %+v is not followed directly by its %s", name, i, e, half.second)
+					}
+					i++
+					view = append(view, event{half.as, e.a, 0})
+				case e.kind == "commit" || e.kind == "flush":
+					t.Fatalf("%s: event %d %+v does not directly follow its first half", name, i, e)
+				default:
+					view = append(view, e)
+				}
+			}
+			if opts.Slots == 3 {
+				continue // the reference executor is two-slot only
+			}
+			var want []event
+			wantRes, err := referenceExecute(s, traceCallbacks(&want))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != wantRes {
+				t.Fatalf("%s: result %+v, reference %+v", name, res, wantRes)
+			}
+			if fmt.Sprint(view) != fmt.Sprint(want) {
+				t.Fatalf("%s: commit/evict sequence differs from the reference executor's", name)
+			}
 		}
 	}
 }

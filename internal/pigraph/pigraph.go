@@ -4,6 +4,12 @@
 // in the paper; the executor generalizes to an S-slot budget with
 // optional asynchronous lookahead prefetch — see ExecOptions).
 //
+// Phase 4 runs through one executor, Schedule.Execute, which replays
+// the traversal's op tape on one cursor per tape worker. A load is
+// always Fetch then Commit and an unload always Evict then Flush; with
+// every pipelining depth at 0 both halves run back to back on the
+// cursor, which is the paper's serial execution.
+//
 // A PI-graph node is a partition Ri; an edge {Ri, Rj} exists when the
 // hash table H holds tuples whose endpoints lie in Ri and Rj. Computing
 // the similarity scores of those tuples requires both partitions

@@ -255,7 +255,7 @@ func TestExecuteCallbackInvariants(t *testing.T) {
 	resident := make(map[uint32]bool)
 	var maxResident int
 	cb := Callbacks{
-		Load: func(p uint32) error {
+		Commit: func(p uint32, _ any) error {
 			if resident[p] {
 				t.Errorf("double load of %d", p)
 			}
@@ -265,12 +265,12 @@ func TestExecuteCallbackInvariants(t *testing.T) {
 			}
 			return nil
 		},
-		Unload: func(p uint32) error {
+		Evict: func(p uint32) (any, error) {
 			if !resident[p] {
 				t.Errorf("unload of non-resident %d", p)
 			}
 			delete(resident, p)
-			return nil
+			return nil, nil
 		},
 		Pair: func(a, b uint32) error {
 			if !resident[a] || !resident[b] {
@@ -285,7 +285,7 @@ func TestExecuteCallbackInvariants(t *testing.T) {
 			return nil
 		},
 	}
-	r, err := s.Execute(cb)
+	r, err := executeOne(s, cb, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,18 +306,21 @@ func TestExecutePropagatesCallbackErrors(t *testing.T) {
 	s := (Sequential{}).Plan(g)
 	wantErr := func(cb Callbacks) {
 		t.Helper()
-		if _, err := s.Execute(cb); err == nil {
+		if _, err := executeOne(s, cb, ExecOptions{}); err == nil {
 			t.Error("callback error should abort Execute")
 		}
 	}
 	boom := func(uint32) error { return errTest }
-	wantErr(Callbacks{Load: boom})
+	wantErr(Callbacks{Fetch: func(uint32) (any, error) { return nil, errTest }})
+	wantErr(Callbacks{Commit: func(uint32, any) error { return errTest }})
+	wantErr(Callbacks{Evict: func(uint32) (any, error) { return nil, errTest }})
+	wantErr(Callbacks{Flush: func(uint32, any) error { return errTest }})
 	wantErr(Callbacks{Pair: func(a, b uint32) error { return errTest }})
 
 	g2 := New(1)
 	g2.AddShard(0, 0, 1)
 	s2 := (Sequential{}).Plan(g2)
-	if _, err := s2.Execute(Callbacks{Self: boom}); err == nil {
+	if _, err := executeOne(s2, Callbacks{Self: boom}, ExecOptions{}); err == nil {
 		t.Error("self callback error should abort Execute")
 	}
 }

@@ -87,30 +87,34 @@ func (s *Schedule) Split(workers int) []*Schedule {
 	return out
 }
 
-// ExecuteParallel runs the schedule sharded across opts.Workers
-// goroutines: the visit sequence is Split into contiguous segments and
-// each worker executes its segment through the full single-cursor
-// machinery — including every pipelining stream ExecOptions enables —
-// with its own Slots-slot LRU budget. cbFor is called once per worker,
-// before any worker starts, to build that worker's callback set;
-// distinct workers' callbacks run concurrently, so any state they
-// share (a common partition store, accumulators) must be synchronized
-// by the caller.
+// Execute walks the schedule under an S-slot memory model, sharded
+// across opts.Workers tape workers, and returns the operation counts —
+// the one execution entry point. The visit sequence is Split into
+// contiguous segments; each worker plans its segment's op tape (memory
+// starts empty and is drained at the end) and replays it on one
+// cursor with its own Slots-slot LRU budget, overlapping whichever I/O
+// streams ExecOptions' depths enable (see runTape). For any fixed
+// (Slots, Workers) the cursors' op sequences — and therefore the
+// Loads/Unloads accounting — are identical at every pipelining depth;
+// the streams only overlap I/O with computation.
+//
+// cbFor is called once per worker, before any worker starts, to build
+// that worker's callback set. A single segment runs on the caller's
+// goroutine; with several, each runs on its own goroutine, so any
+// state distinct workers' callbacks share (a common partition store,
+// accumulators) must be synchronized by the caller.
 //
 // The returned total is the exact field-wise sum of the per-worker
 // results, which are also returned (indexed by worker). Totals are
 // deterministic for a fixed (Slots, Workers): the split is
-// deterministic and each segment's tape depends only on Slots. With
-// Workers <= 1 the single segment makes ExecuteParallel equivalent to
-// ExecuteOpts.
+// deterministic and each segment's tape depends only on Slots.
 //
 // Every worker runs to completion (or to its own first error) before
 // the call returns — background prefetches and write-backs are drained
-// per worker exactly as in single-cursor execution. The first error in
-// worker order is returned, annotated with the worker index; callers
-// that want cross-worker abort propagate a cancellation through their
-// callbacks.
-func (s *Schedule) ExecuteParallel(cbFor func(worker int) Callbacks, opts ExecOptions) (Result, []Result, error) {
+// per worker. The first error in worker order is returned, annotated
+// with the worker index; callers that want cross-worker abort
+// propagate a cancellation through their callbacks.
+func (s *Schedule) Execute(cbFor func(worker int) Callbacks, opts ExecOptions) (Result, []Result, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
 		return Result{}, nil, err
@@ -125,17 +129,27 @@ func (s *Schedule) ExecuteParallel(cbFor func(worker int) Callbacks, opts ExecOp
 	}
 	per := make([]Result, len(segments))
 	errs := make([]error, len(segments))
-	var wg sync.WaitGroup
-	for w, seg := range segments {
-		wg.Add(1)
-		go func(w int, seg *Schedule, cb Callbacks) {
-			defer wg.Done()
-			segOpts := opts
-			segOpts.Workers = 1
-			per[w], errs[w] = seg.executeSegment(cb, segOpts)
-		}(w, seg, cbs[w])
+	run := func(w int) {
+		tape, err := segments[w].plan(opts.Slots)
+		if err != nil {
+			errs[w] = err
+			return
+		}
+		per[w], errs[w] = runTape(tape, cbs[w], opts)
 	}
-	wg.Wait()
+	if len(segments) == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range segments {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				run(w)
+			}()
+		}
+		wg.Wait()
+	}
 
 	var total Result
 	for _, r := range per {

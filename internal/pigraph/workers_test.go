@@ -147,8 +147,8 @@ func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
 				cbFor := func(w int) Callbacks {
 					residents[w] = make(map[uint32]bool)
 					cb := traceCallbacks(&traces[w])
-					load, unload := cb.Load, cb.Unload
-					cb.Load = func(p uint32) error {
+					commit, evict := cb.Commit, cb.Evict
+					cb.Commit = func(p uint32, data any) error {
 						residents[w][p] = true
 						if len(residents[w]) > slots {
 							mu.Lock()
@@ -156,15 +156,15 @@ func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
 								h.Name(), workers, slots, w, len(residents[w]))
 							mu.Unlock()
 						}
-						return load(p)
+						return commit(p, data)
 					}
-					cb.Unload = func(p uint32) error {
+					cb.Evict = func(p uint32) (any, error) {
 						delete(residents[w], p)
-						return unload(p)
+						return evict(p)
 					}
 					return cb
 				}
-				total, per, err := s.ExecuteParallel(cbFor, opts)
+				total, per, err := s.Execute(cbFor, opts)
 				if err != nil {
 					t.Fatalf("%s workers=%d slots=%d: %v", h.Name(), workers, slots, err)
 				}
@@ -175,7 +175,7 @@ func TestExecuteParallelMatchesPerSegmentSerial(t *testing.T) {
 				var sum Result
 				for w, seg := range segs {
 					var want []event
-					wantRes, err := seg.ExecuteOpts(traceCallbacks(&want), ExecOptions{Slots: slots})
+					wantRes, err := executeOne(seg, traceCallbacks(&want), ExecOptions{Slots: slots})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -223,11 +223,9 @@ func TestExecuteParallelPipelinedWorkers(t *testing.T) {
 	traces := make([][]event, workers)
 	cbFor := func(w int) Callbacks {
 		stores[w] = newFakeStore()
-		cb := stores[w].callbacks(&traces[w])
-		cb.Load, cb.Unload = nil, nil // force the async halves
-		return cb
+		return stores[w].callbacks(&traces[w])
 	}
-	total, per, err := s.ExecuteParallel(cbFor, opts)
+	total, per, err := s.Execute(cbFor, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +268,6 @@ func TestExecuteParallelPropagatesWorkerError(t *testing.T) {
 			Fetch:   func(p uint32) (any, error) { fetched.Add(1); return int(p), nil },
 			Commit:  func(p uint32, data any) error { committed.Add(1); return nil },
 			Discard: func(p uint32, data any) { discarded.Add(1) },
-			Unload:  func(p uint32) error { return nil },
 			Pair: func(a, b uint32) error {
 				if w == 1 {
 					pairs++
@@ -283,11 +280,11 @@ func TestExecuteParallelPropagatesWorkerError(t *testing.T) {
 			Self: func(p uint32) error { return nil },
 		}
 		if w != 1 {
-			cb.Unload = func(p uint32) error { completed.Add(1); return nil }
+			cb.Flush = func(p uint32, data any) error { completed.Add(1); return nil }
 		}
 		return cb
 	}
-	_, per, err := s.ExecuteParallel(cbFor, ExecOptions{Slots: 2, Workers: workers, PrefetchDepth: 2})
+	_, per, err := s.Execute(cbFor, ExecOptions{Slots: 2, Workers: workers, PrefetchDepth: 2})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}

@@ -1,9 +1,6 @@
 package profile
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Store holds the profile of every user — the P(t) of the paper. The
 // in-memory implementation backs small runs and tests; the out-of-core
@@ -97,41 +94,6 @@ type Update struct {
 	Vector Vector  // ReplaceProfile
 }
 
-// UpdateQueue collects profile changes during an iteration without
-// touching P(t); Apply drains it into a store at the iteration boundary
-// (phase 5). It is safe for concurrent Enqueue.
-type UpdateQueue struct {
-	mu      sync.Mutex
-	pending []Update
-}
-
-// NewUpdateQueue returns an empty queue.
-func NewUpdateQueue() *UpdateQueue { return &UpdateQueue{} }
-
-// Enqueue appends an update to be applied at the next iteration
-// boundary.
-func (q *UpdateQueue) Enqueue(u Update) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.pending = append(q.pending, u)
-}
-
-// Len reports the number of queued updates.
-func (q *UpdateQueue) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.pending)
-}
-
-// Drain removes and returns all pending updates in FIFO order.
-func (q *UpdateQueue) Drain() []Update {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := q.pending
-	q.pending = nil
-	return out
-}
-
 // ApplyUpdates folds updates into the store in order, returning how
 // many were applied. An unknown kind or out-of-range user aborts;
 // earlier updates stay applied.
@@ -154,21 +116,4 @@ func ApplyUpdates(s *Store, updates []Update) (int, error) {
 		}
 	}
 	return len(updates), nil
-}
-
-// Apply drains the queue into the store in FIFO order — this is phase 5
-// of the paper, turning P(t) into P(t+1). It returns the number of
-// updates applied. Unknown kinds or out-of-range users abort with an
-// error; earlier updates stay applied (the queue retains the failed
-// update and everything after it).
-func (q *UpdateQueue) Apply(s *Store) (int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n, err := ApplyUpdates(s, q.pending)
-	if err != nil {
-		q.pending = q.pending[n:]
-		return n, err
-	}
-	q.pending = nil
-	return n, nil
 }

@@ -1,9 +1,6 @@
 package profile
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
 func TestStoreGetSet(t *testing.T) {
 	s := NewStore(3)
@@ -49,102 +46,90 @@ func TestStoreTotalBytes(t *testing.T) {
 	}
 }
 
-func TestUpdateQueueLazyApply(t *testing.T) {
-	s := NewStore(2)
-	s.Set(0, mustVector(t, Entry{1, 1}))
-	q := NewUpdateQueue()
-
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 2, Weight: 5})
-	q.Enqueue(Update{User: 0, Kind: RemoveItem, Item: 1})
-	q.Enqueue(Update{User: 1, Kind: ReplaceProfile, Vector: FromItems([]uint32{7})})
-
-	// Lazy: the store is untouched until Apply.
-	if s.Get(0).Len() != 1 || s.Get(1).Len() != 0 {
-		t.Fatal("enqueue must not modify the store")
+// TestApplyUpdates is the table test of phase 5's profile rewrite:
+// updates apply in order, a later update of the same entry wins, and a
+// failure reports how many applied and keeps them.
+func TestApplyUpdates(t *testing.T) {
+	cases := []struct {
+		name    string
+		updates []Update
+		wantN   int
+		wantErr bool
+		check   func(t *testing.T, s *Store)
+	}{
+		{
+			name: "in-order set, remove and replace",
+			updates: []Update{
+				{User: 0, Kind: SetItem, Item: 2, Weight: 5},
+				{User: 0, Kind: RemoveItem, Item: 1},
+				{User: 1, Kind: ReplaceProfile, Vector: FromItems([]uint32{7})},
+			},
+			wantN: 3,
+			check: func(t *testing.T, s *Store) {
+				got0 := s.Get(0)
+				if got0.Len() != 1 {
+					t.Fatalf("user 0 profile = %v", got0.Entries())
+				}
+				if w, ok := got0.Weight(2); !ok || w != 5 {
+					t.Errorf("user 0 item 2 = %v,%v, want 5,true", w, ok)
+				}
+				if _, ok := s.Get(1).Weight(7); !ok {
+					t.Error("user 1 should have replaced profile with item 7")
+				}
+			},
+		},
+		{
+			name: "last update wins",
+			updates: []Update{
+				{User: 0, Kind: SetItem, Item: 3, Weight: 1},
+				{User: 0, Kind: SetItem, Item: 3, Weight: 2},
+			},
+			wantN: 2,
+			check: func(t *testing.T, s *Store) {
+				if w, _ := s.Get(0).Weight(3); w != 2 {
+					t.Errorf("item 3 weight = %v, want 2 (last update wins)", w)
+				}
+			},
+		},
+		{
+			name: "out-of-range user keeps earlier updates",
+			updates: []Update{
+				{User: 0, Kind: SetItem, Item: 4, Weight: 1},
+				{User: 9, Kind: SetItem, Item: 4, Weight: 1},
+				{User: 0, Kind: SetItem, Item: 5, Weight: 2},
+			},
+			wantN:   1,
+			wantErr: true,
+			check: func(t *testing.T, s *Store) {
+				if _, ok := s.Get(0).Weight(4); !ok {
+					t.Error("update before the failure should be applied")
+				}
+				if _, ok := s.Get(0).Weight(5); ok {
+					t.Error("update after the failure should not be applied")
+				}
+			},
+		},
+		{
+			name:    "unknown kind",
+			updates: []Update{{User: 0, Kind: UpdateKind(42)}},
+			wantN:   0,
+			wantErr: true,
+		},
 	}
-	if q.Len() != 3 {
-		t.Fatalf("queue length = %d, want 3", q.Len())
-	}
-
-	n, err := q.Apply(s)
-	if err != nil || n != 3 {
-		t.Fatalf("Apply = %d, %v", n, err)
-	}
-	if q.Len() != 0 {
-		t.Error("queue should be empty after Apply")
-	}
-	got0 := s.Get(0)
-	if got0.Len() != 1 {
-		t.Fatalf("user 0 profile = %v", got0.Entries())
-	}
-	if w, ok := got0.Weight(2); !ok || w != 5 {
-		t.Errorf("user 0 item 2 = %v,%v, want 5,true", w, ok)
-	}
-	if _, ok := s.Get(1).Weight(7); !ok {
-		t.Error("user 1 should have replaced profile with item 7")
-	}
-}
-
-func TestUpdateQueueFIFOOrder(t *testing.T) {
-	s := NewStore(1)
-	q := NewUpdateQueue()
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 1})
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 2}) // later wins
-	if _, err := q.Apply(s); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	if w, _ := s.Get(0).Weight(1); w != 2 {
-		t.Errorf("item 1 weight = %v, want 2 (last update wins)", w)
-	}
-}
-
-func TestUpdateQueueErrorKeepsTail(t *testing.T) {
-	s := NewStore(1)
-	q := NewUpdateQueue()
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 1, Weight: 1})
-	q.Enqueue(Update{User: 9, Kind: SetItem, Item: 1, Weight: 1}) // out of range
-	q.Enqueue(Update{User: 0, Kind: SetItem, Item: 2, Weight: 2})
-
-	n, err := q.Apply(s)
-	if err == nil {
-		t.Fatal("Apply should fail on out-of-range user")
-	}
-	if n != 1 {
-		t.Fatalf("applied = %d, want 1 before the failure", n)
-	}
-	if q.Len() != 2 {
-		t.Fatalf("queue should retain the failed update and its tail, len=%d", q.Len())
-	}
-	// The first update landed.
-	if _, ok := s.Get(0).Weight(1); !ok {
-		t.Error("update before the failure should be applied")
-	}
-}
-
-func TestUpdateQueueUnknownKind(t *testing.T) {
-	s := NewStore(1)
-	q := NewUpdateQueue()
-	q.Enqueue(Update{User: 0, Kind: UpdateKind(42)})
-	if _, err := q.Apply(s); err == nil {
-		t.Error("unknown kind should fail")
-	}
-}
-
-func TestUpdateQueueConcurrentEnqueue(t *testing.T) {
-	q := NewUpdateQueue()
-	var wg sync.WaitGroup
-	const workers, perWorker = 8, 50
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				q.Enqueue(Update{User: 0, Kind: SetItem, Item: uint32(i), Weight: 1})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore(2)
+			s.Set(0, mustVector(t, Entry{1, 1}))
+			n, err := ApplyUpdates(s, tc.updates)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("ApplyUpdates error = %v, want error: %v", err, tc.wantErr)
 			}
-		}()
-	}
-	wg.Wait()
-	if got := q.Len(); got != workers*perWorker {
-		t.Errorf("queue length = %d, want %d", got, workers*perWorker)
+			if n != tc.wantN {
+				t.Fatalf("applied = %d, want %d", n, tc.wantN)
+			}
+			if tc.check != nil {
+				tc.check(t, s)
+			}
+		})
 	}
 }
